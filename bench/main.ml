@@ -912,20 +912,9 @@ let sat_smoke () =
       first
       (List.init (max 0 (!reps - 1)) Fun.id)
   in
-  let with_ip ip f =
-    let old = !Asp.Sat.default_inprocess in
-    Asp.Sat.default_inprocess := ip;
-    Fun.protect ~finally:(fun () -> Asp.Sat.default_inprocess := old) f
-  in
   let base_s, base_solve_s, base_outs = best true in
   let new_s, new_solve_s, new_outs = best false in
-  (* the same glucose-class core with inprocessing disabled, to report
-     the inprocessing delta in isolation *)
-  let noip_s, noip_solve_s, noip_outs =
-    with_ip Asp.Sat.inprocess_off (fun () -> best false)
-  in
-  (* agreement: same optimal costs, Verify-clean, from both cores (and
-     with inprocessing on or off) *)
+  (* agreement: same optimal costs, Verify-clean, from both cores *)
   List.iter2
     (fun (name, (a : Core.Concretizer.outcome)) (name', b) ->
       assert (name = name');
@@ -943,14 +932,6 @@ let sat_smoke () =
           then failwith ("sat-smoke: solution for " ^ name ^ " failed Verify"))
         [ a; b ])
     base_outs new_outs;
-  List.iter2
-    (fun (name, (a : Core.Concretizer.outcome)) (_, b) ->
-      if
-        a.Core.Concretizer.stats.Core.Concretizer.costs
-        <> b.Core.Concretizer.stats.Core.Concretizer.costs
-      then
-        failwith ("sat-smoke: inprocessing changed the optimal costs on " ^ name))
-    new_outs noip_outs;
   let speedup = base_s /. new_s in
   let row label s solve_s outs =
     Printf.printf
@@ -959,23 +940,21 @@ let sat_smoke () =
       (sum outs "propagations") (sum outs "learnts")
   in
   row "baseline" base_s base_solve_s base_outs;
-  row "glucose-noip" noip_s noip_solve_s noip_outs;
   row "glucose" new_s new_solve_s new_outs;
   Printf.printf
-    "[sat-smoke] SAT-core time: %.1f ms -> %.1f ms (%.2fx vs baseline, \
-     %.2fx vs inprocessing-off), costs identical, Verify clean\n%!"
-    (base_s *. 1000.0) (new_s *. 1000.0) speedup (noip_s /. new_s);
+    "[sat-smoke] SAT-core time: %.1f ms -> %.1f ms (%.2fx vs baseline), \
+     costs identical, Verify clean\n%!"
+    (base_s *. 1000.0) (new_s *. 1000.0) speedup;
   (* (b) learnt-DB boundedness: pigeonhole PHP(8,7) is conflict-heavy
      UNSAT; with a 50-clause reduction interval the live DB must end
      far below the total ever learnt, and the proof (now containing
      P_delete steps) must still certify *)
   let interval = 50 in
   let pigeons = 8 and holes = 7 in
-  let run_php ip =
-    let php = Asp.Sat.create () in
-    Asp.Sat.enable_proof php;
-    Asp.Sat.set_reduce_interval php interval;
-    Asp.Sat.set_inprocess php ip;
+  let php = Asp.Sat.create () in
+  Asp.Sat.enable_proof php;
+  Asp.Sat.set_reduce_interval php interval;
+  let php_s =
     let v =
       Array.init pigeons (fun _ ->
           Array.init holes (fun _ -> Asp.Sat.new_var php))
@@ -992,12 +971,8 @@ let sat_smoke () =
     done;
     let t0 = Obs.Clock.now_s () in
     if Asp.Sat.solve php then failwith "sat-smoke: PHP(8,7) came back SAT";
-    (php, Obs.Clock.now_s () -. t0)
+    Obs.Clock.now_s () -. t0
   in
-  let _, php_off_s = run_php Asp.Sat.inprocess_off in
-  (* frequent, well-funded passes: every inprocessing technique has to
-     find work on an instance this dense *)
-  let php, php_s = run_php { Asp.Sat.inprocess_on with ip_interval = 500 } in
   let st = Asp.Sat.stats php in
   let g k = match List.assoc_opt k st with Some x -> x | None -> 0 in
   let deletes =
@@ -1013,14 +988,9 @@ let sat_smoke () =
            steps)
   in
   Printf.printf
-    "PHP(%d,%d): UNSAT in %.2fs (%.2fs with inprocessing off); conflicts %d, learnt %d, live DB %d, reduces %d, removed %d, proof deletions %d (certified)\n%!"
-    pigeons holes php_s php_off_s (g "conflicts") (g "learnts") (g "learnt_db")
-    (g "reduces") (g "removed") deletes;
-  Printf.printf
-    "    inprocessing: vivified %d, subsumed %d, probed_failed %d, rephases %d\n%!"
-    (g "vivified") (g "subsumed") (g "probed_failed") (g "rephases");
-  if g "vivified" + g "subsumed" + g "probed_failed" = 0 then
-    failwith "sat-smoke: inprocessing never rewrote or probed anything on PHP";
+    "PHP(%d,%d): UNSAT in %.2fs; conflicts %d, learnt %d, live DB %d, reduces %d, removed %d, rephases %d, proof deletions %d (certified)\n%!"
+    pigeons holes php_s (g "conflicts") (g "learnts") (g "learnt_db")
+    (g "reduces") (g "removed") (g "rephases") deletes;
   if g "reduces" = 0 then
     failwith "sat-smoke: reduction interval 50 never triggered reduce_db";
   if g "removed" = 0 then failwith "sat-smoke: reduce_db removed nothing";
@@ -1050,21 +1020,9 @@ let sat_smoke () =
                      ("propagations", Sjson.Int (sum outs "propagations"));
                      ("learnts", Sjson.Int (sum outs "learnts")) ])
                [ ("baseline", base_s, base_solve_s, base_outs);
-                 ("glucose-noip", noip_s, noip_solve_s, noip_outs);
                  ("glucose", new_s, new_solve_s, new_outs) ]) );
         ("speedup", Sjson.Float speedup);
         ("conflict_reduction", Sjson.Float conflict_ratio);
-        ( "inprocessing",
-          Sjson.Object
-            [ ("pool_sat_ms_off", Sjson.Float (noip_s *. 1000.0));
-              ("pool_sat_ms_on", Sjson.Float (new_s *. 1000.0));
-              ("pool_speedup", Sjson.Float (noip_s /. new_s));
-              ("php_seconds_off", Sjson.Float php_off_s);
-              ("php_seconds_on", Sjson.Float php_s);
-              ("vivified", Sjson.Int (g "vivified"));
-              ("subsumed", Sjson.Int (g "subsumed"));
-              ("probed_failed", Sjson.Int (g "probed_failed"));
-              ("rephases", Sjson.Int (g "rephases")) ] );
         ( "pigeonhole",
           Sjson.Object
             [ ("conflicts", Sjson.Int (g "conflicts"));
@@ -1072,6 +1030,7 @@ let sat_smoke () =
               ("learnt_db", Sjson.Int (g "learnt_db"));
               ("reduces", Sjson.Int (g "reduces"));
               ("removed", Sjson.Int (g "removed"));
+              ("rephases", Sjson.Int (g "rephases"));
               ("proof_deletions", Sjson.Int deletes);
               ("seconds", Sjson.Float php_s) ] ) ]
   in
@@ -1102,16 +1061,9 @@ let sat_smoke () =
   if new_s > base_s *. 1.5 then
     failwith
       (Printf.sprintf
-         "sat-smoke: glucose-class core (inprocessing on) slower than the \
-          pre-arena baseline on the %d-entry-pool SAT work: %.1f ms vs %.1f \
-          ms"
-         target (new_s *. 1000.0) (base_s *. 1000.0));
-  if new_s > noip_s *. 1.5 then
-    failwith
-      (Printf.sprintf
-         "sat-smoke: inprocessing overhead above 50%% on the pool workload: \
-          %.1f ms on vs %.1f ms off"
-         (new_s *. 1000.0) (noip_s *. 1000.0))
+         "sat-smoke: glucose-class core slower than the pre-arena \
+          baseline on the %d-entry-pool SAT work: %.1f ms vs %.1f ms"
+         target (new_s *. 1000.0) (base_s *. 1000.0))
 
 (* Portfolio smoke (dune build @portfolio-smoke): racing diversified
    solver configurations must (a) beat the single solver by >= 1.5x

@@ -76,10 +76,10 @@ let ground_jobs_flag =
 
 let portfolio_flag =
   Arg.(value & opt int 1 & info [ "portfolio" ] ~docv:"N"
-      ~doc:"Race N diversified SAT-solver configurations (restart mode, \
-            phase policy, seed, inprocessing budget) on the hard solve \
-            phase, exchanging low-LBD learnt clauses; first verdict \
-            wins and UNSAT proofs still certify. Results are identical \
+      ~doc:"Race N SAT-solver clones, diversified by initial phases, \
+            rephase interval and seed, on the hard solve phase, \
+            exchanging low-LBD learnt clauses; first verdict wins \
+            and UNSAT proofs still certify. Results are identical \
             to a single-solver run; only wall time changes. Default 1 \
             (off).")
 

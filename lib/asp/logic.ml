@@ -206,6 +206,7 @@ type objective = {
 }
 
 let build_objectives ctx =
+  Obs.with_span ctx.obs ~cat:"solve" "logic.objectives" @@ fun _ ->
   let groups : (string, int * int * Solver_intf.lit list list) Hashtbl.t = Hashtbl.create 64 in
   (* key -> (weight, priority, list of condition clauses) *)
   List.iter
@@ -351,10 +352,17 @@ let solve_stable ctx ~assumptions =
     else begin
       ctx.stable_checks <- ctx.stable_checks + 1;
       Obs.incr ctx.obs "logic.stable_checks";
-      match (if !hook_skip_unfounded then [] else unfounded_set ctx) with
+      let unfounded =
+        Obs.with_span ctx.obs ~cat:"solve" "logic.unfounded" @@ fun span ->
+        let u = if !hook_skip_unfounded then [] else unfounded_set ctx in
+        if u <> [] then add_loop_clauses ctx u;
+        (* one loop clause per unfounded atom *)
+        Obs.set_attr span "loop_clauses" (Obs.I (List.length u));
+        u
+      in
+      match unfounded with
       | [] -> true
       | u ->
-        add_loop_clauses ctx u;
         Obs.incr ctx.obs ~by:(List.length u) "logic.unfounded_atoms";
         go ()
     end
@@ -362,6 +370,7 @@ let solve_stable ctx ~assumptions =
   go ()
 
 let extract_atoms ctx =
+  Obs.with_span ctx.obs ~cat:"solve" "logic.extract" @@ fun _ ->
   let out = ref [] in
   for id = Ground.atom_count ctx.g - 1 downto 0 do
     if Ground.possible ctx.g id && S.value ctx.sat ctx.atom_var.(id) then

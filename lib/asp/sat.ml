@@ -24,10 +24,10 @@
      [pb_reason]), even = arena cref * 2, odd = binary other-lit * 2+1.
    - learnt-clause quality is literal block distance (LBD), computed
      at learn time and refreshed when a learnt clause is reused in
-     conflict analysis. LBD drives glucose-style EMA restarts (Luby
-     kept behind [restart_mode]) and tiered DB reduction: glue
-     (lbd <= 2) is kept forever, the rest ranked (lbd desc, stamp asc)
-     and the worst half deleted, with [P_delete] proof steps.
+     conflict analysis. LBD drives glucose-style EMA restarts and
+     tiered DB reduction: glue (lbd <= 2) is kept forever, the rest
+     ranked (lbd desc, stamp asc) and the worst half deleted, with
+     [P_delete] proof steps.
    - first-UIP clauses are shrunk by recursive (self-subsuming)
      minimization before being logged/attached.
 
@@ -77,51 +77,6 @@ module Vec = struct
     dst.data <- Array.copy src.data;
     dst.len <- src.len
 end
-
-type restart_mode = Luby | Glucose
-
-(* Read once at [create]; lets benches and tests pit the two policies
-   against each other without threading an argument through [Logic]. *)
-let default_restart_mode = ref Glucose
-
-(* Inprocessing configuration. Passes run at restart boundaries, at
-   decision level 0, and each pass spends at most [ip_budget]
-   propagations. Every rewrite emits DRUP steps, so proofs from an
-   inprocessed run still certify. *)
-type inprocess = {
-  ip_enabled : bool;
-  ip_vivify : bool;        (* clause vivification (+ self-subsumption) *)
-  ip_subsume : bool;       (* clause-clause subsumption over the arena *)
-  ip_probe : bool;         (* failed-literal probing on binary roots *)
-  ip_rephase : bool;       (* target-phase rephasing *)
-  ip_budget : int;         (* propagation budget per pass *)
-  ip_interval : int;       (* conflicts between passes *)
-}
-
-let inprocess_on =
-  { ip_enabled = true;
-    ip_vivify = true;
-    ip_subsume = true;
-    ip_probe = true;
-    ip_rephase = true;
-    ip_budget = 20_000;
-    ip_interval = 4_000 }
-
-let inprocess_off =
-  { inprocess_on with
-    ip_enabled = false;
-    ip_vivify = false;
-    ip_subsume = false;
-    ip_probe = false;
-    ip_rephase = false }
-
-(* Read once at [create], like [default_restart_mode]. *)
-let default_inprocess = ref inprocess_on
-
-(* Chronological backtracking: when the asserting level is more than
-   this many levels below the conflict level, undo only the top level
-   instead of the full jump (0 disables). Read once at [create]. *)
-let default_chrono = ref 100
 
 type portfolio = Solver_intf.portfolio = {
   pf_n : int;
@@ -243,9 +198,6 @@ type t = {
   c_reduces : Obs.Stats.counter;
   c_removed : Obs.Stats.counter;
   c_minimized : Obs.Stats.counter;
-  c_vivified : Obs.Stats.counter;
-  c_subsumed : Obs.Stats.counter;
-  c_probed_failed : Obs.Stats.counter;
   c_rephases : Obs.Stats.counter;
   c_exchanged_in : Obs.Stats.counter;
   c_exchanged_out : Obs.Stats.counter;
@@ -258,7 +210,6 @@ type t = {
   mutable lbd_mark : int array;      (* per decision level, stamped *)
   mutable lbd_stamp : int;
   (* restart state *)
-  mutable restart_mode : restart_mode;
   mutable ema_fast : float;          (* recent LBD average  (alpha 1/32) *)
   mutable ema_slow : float;          (* long-term LBD average (alpha 1/8192) *)
   mutable conflict_count : int;      (* int mirror of c_conflicts *)
@@ -269,11 +220,6 @@ type t = {
   mutable n_pb_inputs : int;
   (* preemption budget, applied per [solve] call *)
   mutable budget : Solver_intf.budget option;
-  (* inprocessing *)
-  mutable inprocess : inprocess;
-  mutable next_inprocess : int;      (* conflict count of next pass *)
-  mutable ip_cursor : int;           (* vivification resume position *)
-  mutable chrono : int;              (* level gap enabling chrono BT; 0 = off *)
   (* target-phase rephasing *)
   mutable target_phase : Bytes.t;    (* assignment at the deepest trail seen *)
   mutable best_trail : int;
@@ -283,7 +229,6 @@ type t = {
   mutable rng : int;                 (* xorshift state; per-config seed *)
   (* portfolio *)
   mutable portfolio : portfolio option;
-  mutable pf_rank : int;
   mutable pf_report : portfolio_report option;
   mutable exch_out : Ring.t option;  (* ring this solver publishes into *)
   mutable exch_in : (Ring.t * int ref) array; (* lower-rank rings + cursors *)
@@ -301,9 +246,6 @@ let create () =
   let c_reduces = Obs.Stats.counter stat_set "reduces" in
   let c_removed = Obs.Stats.counter stat_set "removed" in
   let c_minimized = Obs.Stats.counter stat_set "minimized" in
-  let c_vivified = Obs.Stats.counter stat_set "vivified" in
-  let c_subsumed = Obs.Stats.counter stat_set "subsumed" in
-  let c_probed_failed = Obs.Stats.counter stat_set "probed_failed" in
   let c_rephases = Obs.Stats.counter stat_set "rephases" in
   let c_exchanged_in = Obs.Stats.counter stat_set "exchanged_in" in
   let c_exchanged_out = Obs.Stats.counter stat_set "exchanged_out" in
@@ -345,9 +287,6 @@ let create () =
     c_reduces;
     c_removed;
     c_minimized;
-    c_vivified;
-    c_subsumed;
-    c_probed_failed;
     c_rephases;
     c_exchanged_in;
     c_exchanged_out;
@@ -358,7 +297,6 @@ let create () =
     min_stack = Vec.create 0;
     lbd_mark = [||];
     lbd_stamp = 0;
-    restart_mode = !default_restart_mode;
     ema_fast = 0.0;
     ema_slow = 0.0;
     conflict_count = 0;
@@ -366,10 +304,6 @@ let create () =
     proof = None;
     n_pb_inputs = 0;
     budget = None;
-    inprocess = !default_inprocess;
-    next_inprocess = 1000;
-    ip_cursor = 0;
-    chrono = !default_chrono;
     target_phase = Bytes.create 0;
     best_trail = 0;
     next_rephase = 1000;
@@ -377,7 +311,6 @@ let create () =
     rephase_kind = 0;
     rng = 0x9E3779B9;
     portfolio = None;
-    pf_rank = 0;
     pf_report = None;
     exch_out = None;
     exch_in = [||] }
@@ -395,19 +328,7 @@ let log_step s step =
    silently discards its constraint, so cardinality bounds vanish. *)
 let hook_drop_pb = ref false
 
-let set_restart_mode s m = s.restart_mode <- m
-
 let set_budget s b = s.budget <- b
-
-let set_inprocess s ip =
-  s.inprocess <- ip;
-  (* A tighter interval takes effect now, not after the previously
-     scheduled pass — tests rely on small instances inprocessing. *)
-  if ip.ip_enabled then
-    s.next_inprocess <-
-      min s.next_inprocess (s.conflict_count + ip.ip_interval)
-
-let set_chrono s n = s.chrono <- max 0 n
 
 let set_portfolio s pf = s.portfolio <- pf
 
@@ -1244,13 +1165,10 @@ let reduce_db s =
   done;
   if s.wasted * 3 > s.arena_top then compact_arena s
 
-(* -- inprocessing -------------------------------------------------- *)
+(* -- rephasing ----------------------------------------------------- *)
 
-(* Every pass below runs at decision level 0 and is verdict-preserving:
-   each rewrite replaces a clause by one that is RUP-derivable from the
-   database still containing the original, emits [P_derived new] then
-   [P_delete old], and only then retires the original — so an
-   inprocessed UNSAT proof replays through [Fuzz.Drup] unchanged. *)
+(* Phases are pure search heuristics: resetting them never changes the
+   clause database, so rephasing needs no proof steps. *)
 
 let xorshift x =
   let x = x lxor (x lsl 13) in
@@ -1269,6 +1187,12 @@ let update_target_phase s =
     | _ -> ()
   done
 
+let random_phases s =
+  for v = 0 to s.nvars - 1 do
+    s.rng <- xorshift s.rng;
+    Bytes.set s.phase v (if s.rng land 1 = 0 then '\000' else '\001')
+  done
+
 let rephase s =
   Obs.Stats.incr s.c_rephases;
   (match s.rephase_kind land 3 with
@@ -1278,11 +1202,7 @@ let rephase s =
       Bytes.set s.phase v
         (if Bytes.get s.phase v = '\000' then '\001' else '\000')
     done
-  | 2 ->
-    for v = 0 to s.nvars - 1 do
-      s.rng <- xorshift s.rng;
-      Bytes.set s.phase v (if s.rng land 1 = 0 then '\000' else '\001')
-    done
+  | 2 -> random_phases s
   | _ ->
     (* Back to the default negative polarity, and let a fresh best
        trail rebuild the targets. *)
@@ -1291,274 +1211,6 @@ let rephase s =
   s.rephase_kind <- s.rephase_kind + 1;
   s.rephase_interval <- s.rephase_interval + (s.rephase_interval / 2);
   s.next_rephase <- s.conflict_count + s.rephase_interval
-
-(* Replace clause [cref] (literals [old_lits]) by [new_lits], which the
-   caller proved RUP against the current database. Shared by
-   vivification and self-subsumption. *)
-let replace_clause s cref old_lits new_lits =
-  let learnt = cl_learnt s cref in
-  let old_lbd = cl_lbd s cref in
-  Obs.Stats.incr s.c_vivified;
-  log_step s (P_derived new_lits);
-  log_step s (P_delete old_lits);
-  cl_delete s cref;
-  if learnt then begin
-    s.n_learnts <- s.n_learnts - 1;
-    s.n_arena_learnts <- s.n_arena_learnts - 1
-  end
-  else s.n_clauses <- s.n_clauses - 1;
-  match new_lits with
-  | [] ->
-    log_step s (P_derived []);
-    s.ok <- false
-  | [ l ] -> (
-    match lit_value s l with
-    | 0 -> (
-      enqueue s l r_none;
-      match propagate s with
-      | Some _ ->
-        log_step s (P_derived []);
-        s.ok <- false
-      | None -> ())
-    | 2 ->
-      log_step s (P_derived []);
-      s.ok <- false
-    | _ -> ())
-  | [ a; b ] ->
-    attach_binary s a b;
-    if learnt then s.n_learnts <- s.n_learnts + 1
-    else s.n_clauses <- s.n_clauses + 1
-  | lits ->
-    let arr = Array.of_list lits in
-    let lbd = if learnt then min old_lbd (Array.length arr) else 0 in
-    let cref' = alloc_clause s arr ~learnt ~lbd in
-    if learnt then begin
-      Vec.push s.learnts cref';
-      s.n_learnts <- s.n_learnts + 1;
-      s.n_arena_learnts <- s.n_arena_learnts + 1
-    end
-    else begin
-      Vec.push s.clauses cref';
-      s.n_clauses <- s.n_clauses + 1
-    end;
-    attach_cref s cref'
-
-(* Vivify one clause: assume the negation of each literal in turn and
-   propagate. A conflict after a strict prefix, an implied-true
-   literal, or a falsified literal each yield a stronger clause —
-   RUP-checkable because the original is still in the database while
-   the new one is derived. The clause stays attached during the probe;
-   self-propagation through it can only mask an improvement, never
-   produce an unsound one. *)
-let vivify_clause s cref budget =
-  if
-    (not (cl_deleted s cref))
-    && cl_size s cref >= 3
-    && not (cl_locked s cref)
-  then begin
-    let n = cl_size s cref in
-    let lits = Array.init n (fun i -> cl_lit s cref i) in
-    let out = ref [] in
-    let changed = ref false in
-    let i = ref 0 in
-    let stop = ref `Scan_done in
-    (try
-       while !i < n do
-         let l = lits.(!i) in
-         (match lit_value s l with
-         | 1 ->
-           stop := `True;
-           raise Exit
-         | 2 -> changed := true (* false under the kept prefix: drop *)
-         | _ ->
-           if !budget <= 0 then begin
-             stop := `Budget;
-             raise Exit
-           end;
-           out := l :: !out;
-           Vec.push s.trail_lim (Vec.size s.trail);
-           enqueue s (lit_not l) r_decision;
-           let t0 = Vec.size s.trail in
-           let confl = propagate s in
-           budget := !budget - (Vec.size s.trail - t0) - 1;
-           (match confl with
-           | Some _ ->
-             stop := `Conflict;
-             raise Exit
-           | None -> ()));
-         incr i
-       done
-     with Exit -> ());
-    cancel_until s 0;
-    let new_lits =
-      match !stop with
-      | `True ->
-        if !i < n - 1 then changed := true;
-        List.rev (lits.(!i) :: !out)
-      | `Conflict ->
-        if !i < n - 1 then changed := true;
-        List.rev !out
-      | `Budget ->
-        (* The unexamined tail survives untouched; earlier drops are
-           still valid on their own. *)
-        List.rev_append !out
-          (Array.to_list (Array.sub lits !i (n - !i)))
-      | `Scan_done -> List.rev !out
-    in
-    if !changed then replace_clause s cref (Array.to_list lits) new_lits
-  end
-
-(* Round-robin vivification over learnts then problem clauses, resuming
-   where the previous pass left off. *)
-let vivify_pass s budget =
-  let nl = Vec.size s.learnts and nc = Vec.size s.clauses in
-  let total = nl + nc in
-  if total > 0 then begin
-    let visited = ref 0 in
-    while s.ok && !budget > 0 && !visited < total do
-      let idx = (s.ip_cursor + !visited) mod total in
-      let cref =
-        if idx < nl then Vec.get s.learnts idx else Vec.get s.clauses (idx - nl)
-      in
-      vivify_clause s cref budget;
-      incr visited
-    done;
-    s.ip_cursor <- (s.ip_cursor + !visited) mod (max 1 total)
-  end
-
-(* Backward subsumption / self-subsumption over the arena. For each
-   clause C, candidates D are drawn from the occurrence list of C's
-   rarest literal (and its negation, to catch resolutions on that
-   literal): C ⊆ D deletes D; C matching all but one literal of D with
-   exactly one flip strengthens D by resolution. Binaries are not
-   indexed — they never lose to a longer clause anyway. *)
-let subsume_pass s budget =
-  let live = Vec.create 0 in
-  let collect vec =
-    for i = 0 to Vec.size vec - 1 do
-      let cref = Vec.get vec i in
-      if not (cl_deleted s cref) then Vec.push live cref
-    done
-  in
-  collect s.clauses;
-  collect s.learnts;
-  let occ = Array.make (2 * s.nvars) [] in
-  let occ_n = Array.make (2 * s.nvars) 0 in
-  for i = 0 to Vec.size live - 1 do
-    let cref = Vec.get live i in
-    let size = cl_size s cref in
-    for k = 0 to size - 1 do
-      let l = cl_lit s cref k in
-      occ.(l) <- cref :: occ.(l);
-      occ_n.(l) <- occ_n.(l) + 1
-    done
-  done;
-  let marks = Bytes.make (2 * s.nvars) '\000' in
-  let ci = ref 0 in
-  while s.ok && !budget > 0 && !ci < Vec.size live do
-    let c = Vec.get live !ci in
-    if not (cl_deleted s c) && not (cl_locked s c) then begin
-      let csize = cl_size s c in
-      budget := !budget - csize;
-      let min_l = ref (cl_lit s c 0) in
-      for k = 0 to csize - 1 do
-        let l = cl_lit s c k in
-        Bytes.set marks l '\001';
-        if occ_n.(l) < occ_n.(!min_l) then min_l := l
-      done;
-      let check d =
-        if
-          s.ok && d <> c
-          && not (cl_deleted s d)
-          && not (cl_deleted s c)
-          && not (cl_locked s d)
-          && cl_size s d >= csize
-        then begin
-          let dsize = cl_size s d in
-          budget := !budget - dsize;
-          let m = ref 0 and flips = ref 0 and flip_lit = ref 0 in
-          for k = 0 to dsize - 1 do
-            let l = cl_lit s d k in
-            if Bytes.get marks l = '\001' then incr m
-            else if Bytes.get marks (lit_not l) = '\001' then begin
-              incr flips;
-              flip_lit := l
-            end
-          done;
-          if !m = csize then begin
-            (* C ⊆ D: D is redundant while C remains. *)
-            Obs.Stats.incr s.c_subsumed;
-            log_step s (P_delete (cl_lits_list s d));
-            cl_delete s d;
-            if cl_learnt s d then begin
-              s.n_learnts <- s.n_learnts - 1;
-              s.n_arena_learnts <- s.n_arena_learnts - 1
-            end
-            else s.n_clauses <- s.n_clauses - 1
-          end
-          else if !m = csize - 1 && !flips = 1 then begin
-            (* Resolving C and D on [flip_lit] yields D \ {flip_lit}. *)
-            let d_lits = cl_lits_list s d in
-            let new_lits = List.filter (fun l -> l <> !flip_lit) d_lits in
-            Obs.Stats.incr s.c_subsumed;
-            replace_clause s d d_lits new_lits
-          end
-        end
-      in
-      List.iter check occ.(!min_l);
-      List.iter check occ.(lit_not !min_l);
-      for k = 0 to csize - 1 do
-        Bytes.set marks (cl_lit s c k) '\000'
-      done
-    end;
-    incr ci
-  done
-
-(* Failed-literal probing on binary-implication roots. Literal [l] is a
-   root iff some binary clause contains ¬l (out-edges l → …) and none
-   contains l (no in-edges, by implication-graph symmetry); probing
-   roots covers their whole implication subtree. A failed probe yields
-   the unit [¬l], RUP because the propagation that refuted [l] replays
-   in the checker. *)
-let probe_roots s budget =
-  let has_bin l =
-    let ws = s.watches.(l) in
-    let rec go i =
-      i + 1 < Vec.size ws
-      && (Vec.get ws (i + 1) land 1 = 1 || go (i + 2))
-    in
-    go 0
-  in
-  let u = ref 0 in
-  while s.ok && !budget > 0 && !u < 2 * s.nvars do
-    let l = !u in
-    if lit_value s l = 0 && has_bin l && not (has_bin (lit_not l)) then begin
-      Vec.push s.trail_lim (Vec.size s.trail);
-      enqueue s l r_decision;
-      let t0 = Vec.size s.trail in
-      let confl = propagate s in
-      budget := !budget - (Vec.size s.trail - t0) - 1;
-      cancel_until s 0;
-      match confl with
-      | Some _ -> (
-        Obs.Stats.incr s.c_probed_failed;
-        log_step s (P_derived [ lit_not l ]);
-        match lit_value s (lit_not l) with
-        | 0 -> (
-          enqueue s (lit_not l) r_none;
-          match propagate s with
-          | Some _ ->
-            log_step s (P_derived []);
-            s.ok <- false
-          | None -> ())
-        | 2 ->
-          log_step s (P_derived []);
-          s.ok <- false
-        | _ -> ())
-      | None -> ()
-    end;
-    incr u
-  done
 
 (* -- portfolio clause exchange ------------------------------------- *)
 
@@ -1607,40 +1259,13 @@ let import_clauses s =
     (fun (ring, cursor) -> Ring.drain ring cursor (fun cl -> import_one s cl))
     s.exch_in
 
-(* One inprocessing step, entered from a restart boundary at decision
-   level 0: drain portfolio imports, then run the budgeted passes, then
-   rephase on its own (growing) schedule. *)
-let inprocess_step s =
+(* The restart-boundary step, entered at decision level 0: drain
+   portfolio imports, then rephase when the growing schedule says so. *)
+let restart_step s =
   import_clauses s;
-  if s.ok && s.inprocess.ip_enabled && s.conflict_count >= s.next_inprocess
-  then begin
-    s.next_inprocess <- s.conflict_count + s.inprocess.ip_interval;
-    let budget = ref s.inprocess.ip_budget in
-    if s.inprocess.ip_probe then probe_roots s budget;
-    if s.ok && s.inprocess.ip_vivify then vivify_pass s budget;
-    if s.ok && s.inprocess.ip_subsume then subsume_pass s budget
-  end;
-  if
-    s.ok && s.inprocess.ip_enabled && s.inprocess.ip_rephase
-    && s.conflict_count >= s.next_rephase
-  then rephase s
+  if s.ok && s.conflict_count >= s.next_rephase then rephase s
 
 (* -- search -------------------------------------------------------- *)
-
-let luby y x =
-  (* Luby restart sequence (MiniSat's formulation). *)
-  let size = ref 1 and seq = ref 0 in
-  while !size < x + 1 do
-    incr seq;
-    size := (2 * !size) + 1
-  done;
-  let x = ref x in
-  while !size - 1 <> !x do
-    size := (!size - 1) / 2;
-    decr seq;
-    x := !x mod !size
-  done;
-  y ** float_of_int !seq
 
 let pick_branch_var s =
   let rec go () =
@@ -1706,17 +1331,6 @@ let learn_lbd s lbd =
   s.ema_slow <- s.ema_slow +. ((f -. s.ema_slow) *. ema_slow_alpha);
   if Obs.enabled s.obs then Obs.observe s.obs "sat.lbd" f
 
-let confl_max_level s = function
-  | C_cref cref ->
-    let m = ref 0 in
-    for i = 0 to cl_size s cref - 1 do
-      let lv = s.level.(lit_var (cl_lit s cref i)) in
-      if lv > !m then m := lv
-    done;
-    !m
-  | C_lits arr ->
-    Array.fold_left (fun m l -> max m s.level.(lit_var l)) 0 arr
-
 let solve_single ?(assumptions = []) s =
   if not s.ok then false
   else begin
@@ -1730,7 +1344,6 @@ let solve_single ?(assumptions = []) s =
     else begin
       let assumptions = Array.of_list assumptions in
       let nassum = Array.length assumptions in
-      let conflict_budget = ref (luby 2.0 (Obs.Stats.value s.c_restarts) *. 100.0) in
       let since_restart = ref 0 in
       let spent = ref 0 in
       let result = ref None in
@@ -1743,18 +1356,10 @@ let solve_single ?(assumptions = []) s =
              incr since_restart;
              incr spent;
              check_budget s !spent;
-             conflict_budget := !conflict_budget -. 1.0;
-             if s.inprocess.ip_rephase && Vec.size s.trail > s.best_trail
-             then begin
+             if Vec.size s.trail > s.best_trail then begin
                s.best_trail <- Vec.size s.trail;
                update_target_phase s
              end;
-             (* Safety net for chronological backtracking: analysis
-                needs at least one literal of the current level, so if
-                the conflict sits entirely below it, fall to the
-                conflict's own maximal level first. *)
-             let clvl = confl_max_level s confl in
-             if clvl < decision_level s then cancel_until s clvl;
              if decision_level s = 0 then begin
                log_step s (P_derived []);
                s.ok <- false;
@@ -1763,19 +1368,6 @@ let solve_single ?(assumptions = []) s =
              (* If the conflict is below the assumption levels we treat
                 it like any other; analysis may drive us to level 0. *)
              let learnt, btlevel, lbd = analyze s confl in
-             (* Chronological backtracking: on a long jump, undo only
-                the current level and re-propagate the asserting
-                literal there — the skipped levels' work is often still
-                valid and gets revisited cheaply. Unit learnts always
-                go to level 0 (their enqueue has no reason clause). *)
-             let btlevel =
-               if
-                 s.chrono > 0
-                 && Array.length learnt >= 2
-                 && decision_level s - btlevel > s.chrono
-               then decision_level s - 1
-               else btlevel
-             in
              cancel_until s btlevel;
              log_step s (P_derived (Array.to_list learnt));
              (match s.exch_out with
@@ -1820,36 +1412,27 @@ let solve_single ?(assumptions = []) s =
              end
            | None ->
              let want_restart =
-               match s.restart_mode with
-               | Luby -> !conflict_budget < 0.0
-               | Glucose ->
-                 !since_restart >= restart_min_conflicts
-                 && s.conflict_count >= 100
-                 && s.ema_fast > restart_ratio *. s.ema_slow
+               !since_restart >= restart_min_conflicts
+               && s.conflict_count >= 100
+               && s.ema_fast > restart_ratio *. s.ema_slow
              in
              if want_restart && decision_level s > nassum then begin
                (* Restart, keeping assumptions. *)
                Obs.Stats.incr s.c_restarts;
                note_restart s;
                since_restart := 0;
-               conflict_budget := luby 2.0 (Obs.Stats.value s.c_restarts) *. 100.0;
                let have_imports =
                  s.exch_in <> [||]
                  && Array.exists
                       (fun (r, cur) -> Ring.pending r cur)
                       s.exch_in
                in
-               let due =
-                 s.inprocess.ip_enabled
-                 && (s.conflict_count >= s.next_inprocess
-                    || (s.inprocess.ip_rephase
-                       && s.conflict_count >= s.next_rephase))
-               in
-               if have_imports || due then begin
-                 (* Inprocessing runs at level 0; any assumptions are
+               if have_imports || s.conflict_count >= s.next_rephase
+               then begin
+                 (* The step runs at level 0; any assumptions are
                     re-placed by the [dl < nassum] branch below. *)
                  cancel_until s 0;
-                 inprocess_step s;
+                 restart_step s;
                  if not s.ok then raise Unsat_exc
                end
                else cancel_until s (min (decision_level s) nassum)
@@ -1951,17 +1534,12 @@ let clone s =
   c.seen <- Bytes.copy s.seen;
   c.lbd_mark <- Array.copy s.lbd_mark;
   c.lbd_stamp <- s.lbd_stamp;
-  c.restart_mode <- s.restart_mode;
   c.ema_fast <- s.ema_fast;
   c.ema_slow <- s.ema_slow;
   c.conflict_count <- s.conflict_count;
   c.max_learnts <- s.max_learnts;
   c.proof <- s.proof;
   c.n_pb_inputs <- s.n_pb_inputs;
-  c.inprocess <- s.inprocess;
-  c.next_inprocess <- s.next_inprocess;
-  c.ip_cursor <- s.ip_cursor;
-  c.chrono <- s.chrono;
   c.target_phase <- Bytes.copy s.target_phase;
   c.best_trail <- s.best_trail;
   c.next_rephase <- s.next_rephase;
@@ -1970,40 +1548,26 @@ let clone s =
   c.rng <- s.rng;
   c
 
-let config_name rank =
-  match rank mod 4 with
+let config_name = function
   | 0 -> "default"
-  | 1 -> "luby+pos-phase"
-  | 2 -> "glucose+rand-phase"
-  | _ -> "luby+deep-inprocess"
+  | 1 -> "pos-phase"
+  | 2 -> "rand-phase+fast-rephase"
+  | rank -> Printf.sprintf "rand-phase/seed%d" rank
 
 (* Rank 0 is the caller's own solver, untouched: the race preserves the
-   single-solver trajectory exactly. Higher ranks cycle through
-   diversified restart/polarity/seed/inprocessing settings; ranks >= 4
-   repeat the cycle under different seeds. *)
+   single-solver trajectory exactly. Rank 1 starts from positive
+   phases, rank 2 from random phases with a short rephase interval, and
+   every higher rank from random phases under its own seed. *)
 let diversify s rank =
-  s.pf_rank <- rank;
   s.rng <- xorshift (0x9E3779B9 lxor ((rank * 0x5851F42D) land max_int));
-  match rank mod 4 with
+  match rank with
   | 0 -> ()
-  | 1 ->
-    s.restart_mode <- Luby;
-    Bytes.fill s.phase 0 s.nvars '\001'
+  | 1 -> Bytes.fill s.phase 0 s.nvars '\001'
   | 2 ->
-    s.restart_mode <- Glucose;
-    for v = 0 to s.nvars - 1 do
-      s.rng <- xorshift s.rng;
-      Bytes.set s.phase v (if s.rng land 1 = 0 then '\000' else '\001')
-    done;
+    random_phases s;
     s.rephase_interval <- 500;
     s.next_rephase <- min s.next_rephase (s.conflict_count + 500)
-  | _ ->
-    s.restart_mode <- Luby;
-    s.inprocess <-
-      { s.inprocess with
-        ip_budget = s.inprocess.ip_budget * 2;
-        ip_interval = max 500 (s.inprocess.ip_interval / 2) };
-    s.next_inprocess <- min s.next_inprocess (s.conflict_count + 500)
+  | _ -> random_phases s
 
 (* Steps a racer appended after [base] (its shared clone-time prefix),
    oldest-first. Deletions are dropped: a clause one stream deleted may

@@ -4,11 +4,17 @@
     flat int-array arena with inline headers, blocking-literal watch
     lists with inline binary clauses, first-UIP conflict analysis with
     recursive clause minimization, LBD-driven learnt-DB reduction,
-    glucose-style EMA restarts (Luby available as a fallback mode),
     VSIDS-style activities with lazy generation-based rescaling, phase
     saving, and a counter-based propagator for linear pseudo-Boolean
     constraints [sum of w_i over true literals <= bound] (used for
     choice-rule cardinality bounds and optimization descent).
+
+    There is one search configuration. Restarts follow glucose's EMA
+    policy: restart when the fast moving average of learnt-clause LBDs
+    runs 1.25x above the slow one. At restart boundaries, on a growing
+    conflict schedule, the solver rephases: it cycles its saved phases
+    through the target phases (the assignment of the deepest trail
+    seen), their inversion, random phases, and the default polarity.
 
     The pre-arena MiniSat-style core survives as {!Sat_baseline} with
     an identical interface ({!Solver_intf.S}); differential tests and
@@ -20,47 +26,6 @@
 type t
 
 type lit = int
-
-(** Restart policy. [Glucose] restarts when the fast EMA of learnt
-    LBDs runs 1.25x above the slow EMA (search is stuck in a
-    low-quality region); [Luby] keeps the classic conflict budgets of
-    the pre-arena core. *)
-type restart_mode = Luby | Glucose
-
-val default_restart_mode : restart_mode ref
-(** Mode picked up by {!create}. Defaults to [Glucose]; flipped by
-    tests and benches that compare the two policies. *)
-
-(** Inprocessing configuration: passes run at restart boundaries, at
-    decision level 0, each bounded by [ip_budget] propagations. Every
-    rewrite logs [P_derived new; P_delete old] so UNSAT proofs still
-    certify. [ip_interval] is the conflict distance between passes;
-    rephasing runs on its own growing schedule. *)
-type inprocess = {
-  ip_enabled : bool;
-  ip_vivify : bool;  (** clause vivification (+ self-subsumption) *)
-  ip_subsume : bool;  (** backward subsumption over the arena *)
-  ip_probe : bool;  (** failed-literal probing on binary roots *)
-  ip_rephase : bool;  (** target-phase rephasing *)
-  ip_budget : int;
-  ip_interval : int;
-}
-
-val inprocess_on : inprocess
-(** The default: everything enabled, 20k propagations per pass, a pass
-    every 4k conflicts. *)
-
-val inprocess_off : inprocess
-
-val default_inprocess : inprocess ref
-(** Configuration picked up by {!create}; benches and tests flip it to
-    measure inprocessing on/off without threading an argument through
-    {!Logic}. *)
-
-val default_chrono : int ref
-(** Chronological-backtracking threshold picked up by {!create}: when
-    the asserting level is more than this many levels below the
-    conflict, only the top level is undone. [0] disables. *)
 
 (** Re-export of {!Solver_intf.portfolio}. *)
 type portfolio = Solver_intf.portfolio = {
@@ -79,13 +44,6 @@ type portfolio_report = {
 }
 
 val create : unit -> t
-
-val set_restart_mode : t -> restart_mode -> unit
-
-val set_inprocess : t -> inprocess -> unit
-
-val set_chrono : t -> int -> unit
-(** Override the {!default_chrono} threshold; [0] disables. *)
 
 val set_portfolio : t -> portfolio option -> unit
 (** Race [pf_n] diversified clones of this solver on every subsequent
@@ -197,9 +155,7 @@ val stats : t -> (string * int) list
 (** Counters: conflicts, decisions, propagations, learned clauses,
     restarts, reduces (learnt-DB reductions), removed (clauses deleted
     by reduction), minimized (literals stripped by clause
-    minimization), vivified (clauses strengthened by vivification or
-    self-subsumption), subsumed, probed_failed (failed literals found
-    by probing), rephases, exchanged_in/exchanged_out (portfolio clause
+    minimization), rephases, exchanged_in/exchanged_out (portfolio clause
     traffic, aggregated across the race's lanes); plus gauges: clauses,
     pbs, vars, learnt_db, arena_words. Stored in an {!Obs.Stats} set;
     this accessor is a snapshot shim. *)

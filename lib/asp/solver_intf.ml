@@ -35,11 +35,11 @@ let stop_poll_interval = 32
    left at decision level 0 and remains usable. *)
 exception Timeout
 
-(* Portfolio mode: [solve] races [pf_n] diversified configurations
-   (restart mode, polarity/phase policy, seed, inprocessing budget) on
-   clones of the same solver state, exchanging low-LBD learnt clauses
-   through a bounded lock-free ring. The first verdict wins and the
-   winner's proof stream is merged into the primary's certificate.
+(* Portfolio mode: [solve] races [pf_n] clones of the same solver
+   state, diversified by initial phases, rephase interval and seed,
+   exchanging low-LBD learnt clauses through a bounded lock-free ring.
+   The first verdict wins and the winner's proof stream is merged into
+   the primary's certificate.
 
    [pf_first_model] selects the model-election rule:
    - [false] (the byte-identity rule used by [Logic]): only the primary

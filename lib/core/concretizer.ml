@@ -267,11 +267,7 @@ let pp_stats fmt s =
   if sat "reduces" > 0 then
     Format.fprintf fmt " reduces=%d removed=%d" (sat "reduces") (sat "removed");
   if sat "minimized" > 0 then Format.fprintf fmt " min_lits=%d" (sat "minimized");
-  (* Inprocessing counters; zero (and omitted) when no pass fired. *)
-  if sat "vivified" > 0 then Format.fprintf fmt " vivified=%d" (sat "vivified");
-  if sat "subsumed" > 0 then Format.fprintf fmt " subsumed=%d" (sat "subsumed");
-  if sat "probed_failed" > 0 then
-    Format.fprintf fmt " probed_failed=%d" (sat "probed_failed");
+  (* Rephasing runs at restart boundaries only; omitted when none fired. *)
   if sat "rephases" > 0 then Format.fprintf fmt " rephases=%d" (sat "rephases");
   (* Portfolio clause traffic, nonzero only on raced solves. *)
   if sat "exchanged_in" > 0 || sat "exchanged_out" > 0 then

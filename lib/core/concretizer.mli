@@ -52,9 +52,8 @@ type options = {
           one-shot solves and {!Session.create}; default 1. *)
   portfolio : int;
       (** race the initial stable solve of every request across this
-          many diversified SAT-solver clones (restart mode, phase
-          policy, seed, inprocessing budget), exchanging low-LBD learnt
-          clauses; default 1 (single solver). Results — models, costs,
+          many SAT-solver clones diversified by initial phases, rephase
+          interval and seed, exchanging low-LBD learnt clauses; default 1 (single solver). Results — models, costs,
           tie-breaks, proofs' verdicts — are byte-identical to a
           single-solver run under {!Asp.Logic}'s election rule; only
           wall time changes. Ignored by the baseline solver. *)

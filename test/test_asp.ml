@@ -71,9 +71,44 @@ let test_positive_loop_unfounded () =
      stable model is empty (completion alone would admit {a,b}). *)
   check_atoms "unfounded loop" "a :- b. b :- a." []
 
+(* Also the traced solve: the stability check, objective building and
+   model extraction each get a span, and the [loop_clauses] attributes
+   of the stability-check spans add up to the model's loop clauses. *)
 let test_loop_with_external_support () =
-  check_atoms "externally supported loop"
-    "{c}. a :- b. b :- a. a :- c. :- not b." [ "a"; "b"; "c" ]
+  let program = "{c}. a :- b. b :- a. a :- c. :- not b." in
+  check_atoms "externally supported loop" program [ "a"; "b"; "c" ];
+  let ground () = Asp.Ground.ground (Asp.parse program) in
+  let obs = Obs.create () in
+  let loop_clauses =
+    match Asp.Logic.solve ~obs (ground ()) with
+    | Asp.Logic.Sat m -> m.Asp.Logic.loop_clauses
+    | Asp.Logic.Unsat _ -> Alcotest.fail "expected SAT"
+  in
+  let spans name =
+    List.filter_map
+      (function
+        | Obs.Span { name = n; attrs; _ } when n = name -> Some attrs
+        | _ -> None)
+      (Obs.events obs)
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("has " ^ name ^ " span") true (spans name <> []))
+    [ "logic.unfounded"; "logic.objectives"; "logic.extract" ];
+  let attributed =
+    List.fold_left
+      (fun acc attrs ->
+        match List.assoc_opt "loop_clauses" attrs with
+        | Some (Obs.I n) -> acc + n
+        | _ -> Alcotest.fail "logic.unfounded span without loop_clauses")
+      0 (spans "logic.unfounded")
+  in
+  Alcotest.(check bool) "the loop needed loop clauses" true (loop_clauses > 0);
+  Alcotest.(check int) "span attributes sum to the loop clauses" loop_clauses
+    attributed;
+  ignore (Asp.Logic.solve ~obs:Obs.disabled (ground ()));
+  Alcotest.(check int) "a disabled ctx records nothing" 0
+    (List.length (Obs.events Obs.disabled))
 
 let test_odd_loop () =
   Alcotest.(check bool) "a :- not a is unsat" true (is_unsat (solve "a :- not a."))

@@ -13,14 +13,8 @@
 
 module CC = Core.Concretizer
 
-(* every property runs under both of the SAT core's restart policies:
-   the performance fast paths must be mode-independent *)
-let with_mode mode f =
-  let old = !Asp.Sat.default_restart_mode in
-  Asp.Sat.default_restart_mode := mode;
-  Fun.protect ~finally:(fun () -> Asp.Sat.default_restart_mode := old) f
-
-let mode_name = function Asp.Sat.Glucose -> "glucose" | Asp.Sat.Luby -> "luby"
+(* "glucose" in the suite and test names is the SAT core's restart
+   policy, the one search configuration the properties run under. *)
 
 let options ?(splicing = false) ?(reuse = []) ~prune () =
   { CC.default_options with CC.splicing; reuse; prune }
@@ -57,11 +51,9 @@ let arb_universe =
 
 (* ---- 1. pruned vs unpruned fresh solves ---- *)
 
-let prop_prune_parity mode =
-  QCheck.Test.make
-    ~name:("pruned solves agree with unpruned solves (" ^ mode_name mode ^ ")")
+let prop_prune_parity =
+  QCheck.Test.make ~name:"pruned solves agree with unpruned solves (glucose)"
     ~count:20 arb_universe (fun seed ->
-      with_mode mode @@ fun () ->
       let u = Fuzz.Gen.generate (Fuzz.Rng.create seed) in
       let repo = Fuzz.Gen.to_repo u in
       let reuse = pool_of ~repo u in
@@ -99,11 +91,9 @@ let prop_prune_parity mode =
 
 (* ---- 2. session vs fresh solves ---- *)
 
-let prop_session_parity mode =
-  QCheck.Test.make
-    ~name:("session solves match fresh solves (" ^ mode_name mode ^ ")")
+let prop_session_parity =
+  QCheck.Test.make ~name:"session solves match fresh solves (glucose)"
     ~count:15 arb_universe (fun seed ->
-      with_mode mode @@ fun () ->
       let u = Fuzz.Gen.generate (Fuzz.Rng.create seed) in
       let repo = Fuzz.Gen.to_repo u in
       let reuse = pool_of ~repo u in
@@ -157,13 +147,10 @@ let prop_session_parity mode =
    return the same solvability, the same optimal costs, and the same
    solution DAG (dag_hash) as the single-solver run — racing may only
    change wall time. *)
-let prop_portfolio_parity mode =
+let prop_portfolio_parity =
   QCheck.Test.make
-    ~name:
-      ("portfolio=4 solves are byte-identical to portfolio=1 ("
-     ^ mode_name mode ^ ")")
+    ~name:"portfolio=4 solves are byte-identical to portfolio=1 (glucose)"
     ~count:10 arb_universe (fun seed ->
-      with_mode mode @@ fun () ->
       let u = Fuzz.Gen.generate (Fuzz.Rng.create seed) in
       let repo = Fuzz.Gen.to_repo u in
       let reuse = pool_of ~repo u in
@@ -372,12 +359,10 @@ let roots_of ~repo (u : Fuzz.Gen.t) =
    unpruned solve over the same pool: same optimal costs, Verify-clean
    specs. This is the end-to-end delta-reground == full-reground
    property over concretizer-real programs. *)
-let prop_warm_delta_parity mode =
+let prop_warm_delta_parity =
   QCheck.Test.make
-    ~name:
-      ("warm delta-grounded sessions match fresh solves (" ^ mode_name mode ^ ")")
+    ~name:"warm delta-grounded sessions match fresh solves (glucose)"
     ~count:8 arb_universe (fun seed ->
-      with_mode mode @@ fun () ->
       let u = Fuzz.Gen.generate (Fuzz.Rng.create seed) in
       let repo = Fuzz.Gen.to_repo u in
       let pool = pool_of ~repo u in
@@ -521,8 +506,7 @@ let render_batch results =
          | Error (f : CC.failure) -> "error " ^ f.CC.f_message)
        results)
 
-let test_batch_determinism mode () =
-  with_mode mode @@ fun () ->
+let test_batch_determinism () =
   let u = Fuzz.Gen.generate (Fuzz.Rng.create 42) in
   let repo = Fuzz.Gen.to_repo u in
   let reuse = pool_of ~repo u in
@@ -545,14 +529,10 @@ let () =
            test_ground_jobs_determinism;
          Alcotest.test_case "ground-cache round-trip" `Quick
            test_groundcache_roundtrip ] )
-    :: List.map
-         (fun mode ->
-           ( "equivalence-" ^ mode_name mode,
-             [ QCheck_alcotest.to_alcotest (prop_prune_parity mode);
-               QCheck_alcotest.to_alcotest (prop_session_parity mode);
-               QCheck_alcotest.to_alcotest (prop_portfolio_parity mode);
-               QCheck_alcotest.to_alcotest (prop_warm_delta_parity mode);
-               Alcotest.test_case
-                 ("batch determinism (" ^ mode_name mode ^ ")")
-                 `Quick (test_batch_determinism mode) ] ))
-         [ Asp.Sat.Glucose; Asp.Sat.Luby ])
+    :: [ ( "equivalence-glucose",
+           [ QCheck_alcotest.to_alcotest prop_prune_parity;
+             QCheck_alcotest.to_alcotest prop_session_parity;
+             QCheck_alcotest.to_alcotest prop_portfolio_parity;
+             QCheck_alcotest.to_alcotest prop_warm_delta_parity;
+             Alcotest.test_case "batch determinism (glucose)" `Quick
+               test_batch_determinism ] ) ])

@@ -9,11 +9,12 @@
      retained across assumption sets, reductions forced between
      solves) agrees with a fresh baseline solver per query;
    - every UNSAT answer certifies with the independent DRUP checker,
-     under both restart modes and with reductions forced so the proofs
-     carry P_delete steps;
+     with reductions forced so the proofs carry P_delete steps;
    - reduce_db keeps locked (reason) clauses: conflict-heavy UNSAT
      searches under a 1-clause reduction interval run to completion
-     with the reduce/GC invariant asserts live, and still certify. *)
+     with the reduce/GC invariant asserts live, and still certify;
+   - rephasing, the one search heuristic beyond EMA restarts, rescues
+     a single solver from a phase trap within a conflict budget. *)
 
 module S = Asp.Sat
 module B = Asp.Sat_baseline
@@ -107,9 +108,8 @@ let build_baseline (nvars, clauses, pbs) =
   List.iter (fun (wl, b) -> B.add_pb_le s wl b) pbs;
   s
 
-let build_new ?proof ?reduce ?mode ((nvars, clauses, pbs) : int * int list list * ((int * int) list * int) list) =
+let build_new ?proof ?reduce ((nvars, clauses, pbs) : int * int list list * ((int * int) list * int) list) =
   let s = S.create () in
-  (match mode with Some m -> S.set_restart_mode s m | None -> ());
   (match proof with Some true -> S.enable_proof s | _ -> ());
   (match reduce with Some n -> S.set_reduce_interval s n | None -> ());
   for _ = 1 to nvars do
@@ -164,11 +164,12 @@ let prop_incremental_agrees =
                  pbs (S.value s))
         sets)
 
-(* ---- 3. every UNSAT certifies, both restart modes, with deletions ---- *)
+(* ---- 3. every UNSAT certifies, with deletions ---- *)
 
-let prop_unsat_certifies mode name =
-  QCheck.Test.make ~name ~count:300 arb_instance (fun inst ->
-      let s = build_new ~proof:true ~reduce:1 ~mode inst in
+let prop_unsat_certifies =
+  QCheck.Test.make ~name:"UNSAT certifies under Glucose restarts with reductions"
+    ~count:300 arb_instance (fun inst ->
+      let s = build_new ~proof:true ~reduce:1 inst in
       if S.solve s then true
       else
         match S.proof s with
@@ -178,67 +179,7 @@ let prop_unsat_certifies mode name =
           | Ok () -> true
           | Error e -> QCheck.Test.fail_reportf "proof rejected: %s" e))
 
-(* ---- 4. restart modes agree ---- *)
-
-let prop_restart_modes_agree =
-  QCheck.Test.make ~name:"Luby and Glucose restart modes agree" ~count:400
-    arb_instance (fun inst ->
-      let g = build_new ~mode:S.Glucose inst in
-      let l = build_new ~mode:S.Luby inst in
-      S.solve g = S.solve l)
-
-(* ---- 4b. inprocessing + chronological backtracking ---- *)
-
-(* A pass at every restart with a healthy budget: on instances this
-   small, the interval-1 schedule means essentially every restart
-   vivifies/subsumes/probes, and chrono=1 makes chronological
-   backtracking the common case instead of the exception. *)
-let aggressive_ip = { S.inprocess_on with S.ip_interval = 1; ip_budget = 2_000 }
-
-let prop_inprocessed_agrees =
-  QCheck.Test.make
-    ~name:"inprocessed+chrono solver agrees with baseline core" ~count:400
-    arb_instance (fun ((_, clauses, pbs) as inst) ->
-      let s = build_new ~reduce:1 inst in
-      S.set_inprocess s aggressive_ip;
-      S.set_chrono s 1;
-      let b = build_baseline inst in
-      let sat_s = S.solve s in
-      let sat_b = B.solve b in
-      if sat_s <> sat_b then
-        QCheck.Test.fail_reportf "inprocessed=%b baseline=%b" sat_s sat_b
-      else (not sat_s) || check_model clauses pbs (S.value s))
-
-(* every (restart mode x inprocessing budget) cell must still certify;
-   budget 0 = inprocessing off (the control cell of the matrix) *)
-let prop_unsat_certifies_ip mode ip_budget name =
-  QCheck.Test.make ~name ~count:150 arb_instance (fun inst ->
-      let s = build_new ~proof:true ~reduce:1 ~mode inst in
-      S.set_inprocess s
-        (if ip_budget = 0 then S.inprocess_off
-         else { S.inprocess_on with S.ip_interval = 1; ip_budget });
-      S.set_chrono s 1;
-      if S.solve s then true
-      else
-        match S.proof s with
-        | None -> false
-        | Some steps -> (
-          match Fuzz.Drup.check steps with
-          | Ok () -> true
-          | Error e -> QCheck.Test.fail_reportf "proof rejected: %s" e))
-
-let certify_matrix =
-  List.concat_map
-    (fun (mode, mname) ->
-      List.map
-        (fun ip_budget ->
-          prop_unsat_certifies_ip mode ip_budget
-            (Printf.sprintf "UNSAT certifies (%s restarts, ip_budget=%d)"
-               mname ip_budget))
-        [ 0; 200; 20_000 ])
-    [ (S.Glucose, "glucose"); (S.Luby, "luby") ]
-
-(* ---- 4c. portfolio racing ---- *)
+(* ---- 4. portfolio racing ---- *)
 
 let prop_portfolio_byte_identical =
   QCheck.Test.make
@@ -275,53 +216,94 @@ let prop_portfolio_unsat_certifies =
           | Ok () -> true
           | Error e -> QCheck.Test.fail_reportf "merged proof rejected: %s" e))
 
-(* ---- 5. reductions under a conflict-heavy search ---- *)
+(* ---- 5. pigeonhole instances ---- *)
 
-(* PHP(n+1, n): forces thousands of conflicts, so a 1-clause reduction
+(* PHP(pigeons, holes), generic over [Solver_intf.S] so the baseline
+   core can be driven through the same instances. With [relax], a
+   fresh relaxer literal r is disjoined into every clause: r=true
+   satisfies everything, but the default negative polarity keeps r
+   false, so a solver walks into the pigeonhole refutation first (the
+   phase trap of [bench portfolio-smoke]). *)
+let add_php (type a) ?(relax = false)
+    (module M : Asp.Solver_intf.S with type t = a) (s : a) ~pigeons ~holes =
+  let v =
+    Array.init pigeons (fun _ -> Array.init holes (fun _ -> M.new_var s))
+  in
+  let r = if relax then [ M.pos (M.new_var s) ] else [] in
+  for i = 0 to pigeons - 1 do
+    M.add_clause s (r @ Array.to_list (Array.map M.pos v.(i)))
+  done;
+  for j = 0 to holes - 1 do
+    for i = 0 to pigeons - 1 do
+      for k = i + 1 to pigeons - 1 do
+        M.add_clause s (r @ [ M.neg v.(i).(j); M.neg v.(k).(j) ])
+      done
+    done
+  done
+
+let certify s =
+  match S.proof s with
+  | None -> Alcotest.fail "no proof recorded"
+  | Some steps -> (
+    match Fuzz.Drup.check steps with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail ("proof rejected: " ^ e))
+
+let stat s k = match List.assoc_opt k (S.stats s) with Some x -> x | None -> 0
+
+(* PHP(7,6) forces thousands of conflicts, so a 1-clause reduction
    interval exercises reduce_db (and the arena GC behind it) hundreds
    of times while reason clauses are pinned on the trail — the
    solver's internal asserts are live in the dev profile. The
    deletion-bearing proof must still certify. *)
 let test_php_under_reduction () =
-  let pigeons = 7 and holes = 6 in
   let s = S.create () in
   S.enable_proof s;
   S.set_reduce_interval s 1;
-  let v =
-    Array.init pigeons (fun _ -> Array.init holes (fun _ -> S.new_var s))
-  in
-  for i = 0 to pigeons - 1 do
-    S.add_clause s (Array.to_list (Array.map S.pos v.(i)))
-  done;
-  for j = 0 to holes - 1 do
-    for i = 0 to pigeons - 1 do
-      for k = i + 1 to pigeons - 1 do
-        S.add_clause s [ S.neg v.(i).(j); S.neg v.(k).(j) ]
-      done
-    done
-  done;
+  add_php (module S) s ~pigeons:7 ~holes:6;
   Alcotest.(check bool) "php unsat" false (S.solve s);
-  let stats = S.stats s in
-  let g k = match List.assoc_opt k stats with Some x -> x | None -> 0 in
+  let g = stat s in
   Alcotest.(check bool) "reductions happened" true (g "reduces" > 0);
   Alcotest.(check bool) "clauses were removed" true (g "removed" > 0);
   Alcotest.(check bool) "live learnt DB stays below total learnt" true
     (g "learnt_db" < g "learnts");
   Alcotest.(check bool) "recursive minimization stripped literals" true
     (g "minimized" > 0);
-  match S.proof s with
-  | None -> Alcotest.fail "no proof recorded"
+  (match S.proof s with
   | Some steps ->
-    let deletes =
-      List.length
-        (List.filter (function S.P_delete _ -> true | _ -> false) steps)
-    in
-    Alcotest.(check bool) "proof carries deletions" true (deletes > 0);
-    (match Fuzz.Drup.check steps with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail ("deletion-bearing proof rejected: " ^ e))
+    Alcotest.(check bool) "proof carries deletions" true
+      (List.exists (function S.P_delete _ -> true | _ -> false) steps)
+  | None -> ());
+  certify s
 
-(* ---- 6. budget preemption ---- *)
+(* PHP(8,7) runs past the first rephase checkpoint (1000 conflicts), so
+   its proof spans restarts and rephases; it must still certify. *)
+let test_php_proof () =
+  let s = S.create () in
+  S.enable_proof s;
+  add_php (module S) s ~pigeons:8 ~holes:7;
+  Alcotest.(check bool) "php unsat" false (S.solve s);
+  Alcotest.(check bool) "rephased at least once" true (stat s "rephases" >= 1);
+  certify s
+
+(* ---- 6. rephasing rescues a phase-trapped single solver ---- *)
+
+(* Without rephasing, relaxed-PHP(11,10) is a full pigeonhole
+   refutation before the solver ever tries r=true; with it, the
+   target/inverted phases flip r within a few thousand conflicts. *)
+let test_rephase_escapes_trap () =
+  let s = S.create () in
+  add_php ~relax:true (module S) s ~pigeons:11 ~holes:10;
+  S.set_budget s
+    (Some { Asp.Solver_intf.b_conflicts = Some 50_000; b_stop = None });
+  (match S.solve s with
+  | true -> ()
+  | false -> Alcotest.fail "relaxed-PHP(11,10) came back UNSAT"
+  | exception Asp.Solver_intf.Timeout ->
+    Alcotest.fail "relaxed-PHP(11,10) still trapped after 50k conflicts");
+  Alcotest.(check bool) "rephased at least once" true (stat s "rephases" >= 1)
+
+(* ---- 7. budget preemption ---- *)
 
 (* PHP(7,6) needs thousands of conflicts, so a small conflict cap must
    preempt the search mid-flight. Preemption unwinds the trail to
@@ -329,30 +311,15 @@ let test_php_under_reduction () =
    re-solving the same instance runs to the real UNSAT answer.
    Generic over [Solver_intf.S] so the baseline core honors the same
    contract as the arena core. *)
-let add_php (type a) (module M : Asp.Solver_intf.S with type t = a) (s : a) =
-  let pigeons = 7 and holes = 6 in
-  let v =
-    Array.init pigeons (fun _ -> Array.init holes (fun _ -> M.new_var s))
-  in
-  for i = 0 to pigeons - 1 do
-    M.add_clause s (Array.to_list (Array.map M.pos v.(i)))
-  done;
-  for j = 0 to holes - 1 do
-    for i = 0 to pigeons - 1 do
-      for k = i + 1 to pigeons - 1 do
-        M.add_clause s [ M.neg v.(i).(j); M.neg v.(k).(j) ]
-      done
-    done
-  done
-
 let conflicts_of stats =
   match List.assoc_opt "conflicts" stats with Some n -> n | None -> 0
 
 let check_budget_preempt (type a) (module M : Asp.Solver_intf.S with type t = a)
     () =
+  let add_php s = add_php (module M) s ~pigeons:7 ~holes:6 in
   (* conflict cap: preempted at (not after) the cap *)
   let s = M.create () in
-  add_php (module M) s;
+  add_php s;
   M.set_budget s
     (Some { Asp.Solver_intf.b_conflicts = Some 100; b_stop = None });
   (match M.solve s with
@@ -368,7 +335,7 @@ let check_budget_preempt (type a) (module M : Asp.Solver_intf.S with type t = a)
      every [stop_poll_interval] conflicts, so an immediately-true
      probe preempts within one interval *)
   let s2 = M.create () in
-  add_php (module M) s2;
+  add_php s2;
   let polls = ref 0 in
   M.set_budget s2
     (Some
@@ -387,45 +354,7 @@ let check_budget_preempt (type a) (module M : Asp.Solver_intf.S with type t = a)
   M.set_budget s2 None;
   Alcotest.(check bool) "reusable after stop preemption" false (M.solve s2)
 
-(* PHP is dense enough that a frequent, well-funded inprocessing
-   schedule must find work for every pass: vivification/subsumption
-   rewrites and failed binary-root literals, with the rewritten proof
-   still certifying. *)
-let test_php_inprocessing () =
-  let s = S.create () in
-  S.enable_proof s;
-  S.set_inprocess s
-    { S.inprocess_on with S.ip_interval = 200; ip_budget = 50_000 };
-  (* PHP(8,7): inprocessing shortens PHP(7,6) below the first rephase
-     checkpoint (1000 conflicts), so size up one notch to see the
-     rephase schedule actually fire. *)
-  let pigeons = 8 and holes = 7 in
-  let v =
-    Array.init pigeons (fun _ -> Array.init holes (fun _ -> S.new_var s))
-  in
-  for i = 0 to pigeons - 1 do
-    S.add_clause s (Array.to_list (Array.map S.pos v.(i)))
-  done;
-  for j = 0 to holes - 1 do
-    for i = 0 to pigeons - 1 do
-      for k = i + 1 to pigeons - 1 do
-        S.add_clause s [ S.neg v.(i).(j); S.neg v.(k).(j) ]
-      done
-    done
-  done;
-  Alcotest.(check bool) "php unsat" false (S.solve s);
-  let g k = match List.assoc_opt k (S.stats s) with Some x -> x | None -> 0 in
-  Alcotest.(check bool) "inprocessing rewrote or probed something" true
-    (g "vivified" + g "subsumed" + g "probed_failed" > 0);
-  Alcotest.(check bool) "rephased at least once" true (g "rephases" >= 1);
-  match S.proof s with
-  | None -> Alcotest.fail "no proof recorded"
-  | Some steps -> (
-    match Fuzz.Drup.check steps with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail ("inprocessed proof rejected: " ^ e))
-
-(* ---- 7. Drup checker under deletion-heavy proofs ---- *)
+(* ---- 8. Drup checker under deletion-heavy proofs ---- *)
 
 (* 12k real deletions (every one a live database hit) followed by a
    two-unit contradiction. The checker's hashed clause-key index makes
@@ -455,44 +384,29 @@ let test_drup_many_deletions () =
     (Printf.sprintf "12k deletions checked in %.3fs (< 5s)" dt)
     true (dt < 5.0)
 
-let test_budget_mode mode () =
-  let old = !S.default_restart_mode in
-  S.default_restart_mode := mode;
-  Fun.protect ~finally:(fun () -> S.default_restart_mode := old) @@ fun () ->
-  check_budget_preempt (module S) ()
-
 let test_budget_baseline () = check_budget_preempt (module B) ()
 
 let () =
   Alcotest.run "sat_core"
     [ ( "differential",
         [ QCheck_alcotest.to_alcotest prop_cores_agree;
-          QCheck_alcotest.to_alcotest prop_incremental_agrees;
-          QCheck_alcotest.to_alcotest prop_restart_modes_agree ] );
-      ( "inprocessing",
-        QCheck_alcotest.to_alcotest prop_inprocessed_agrees
-        :: List.map QCheck_alcotest.to_alcotest certify_matrix
-        @ [ Alcotest.test_case "PHP inprocessing counters + proof" `Quick
-              test_php_inprocessing ] );
+          QCheck_alcotest.to_alcotest prop_incremental_agrees ] );
       ( "portfolio",
         [ QCheck_alcotest.to_alcotest prop_portfolio_byte_identical;
           QCheck_alcotest.to_alcotest prop_portfolio_unsat_certifies ] );
       ( "proofs",
-        [ QCheck_alcotest.to_alcotest
-            (prop_unsat_certifies S.Glucose
-               "UNSAT certifies under Glucose restarts with reductions");
-          QCheck_alcotest.to_alcotest
-            (prop_unsat_certifies S.Luby
-               "UNSAT certifies under Luby restarts with reductions");
+        [ QCheck_alcotest.to_alcotest prop_unsat_certifies;
+          Alcotest.test_case "PHP(8,7) proof certifies" `Quick test_php_proof;
           Alcotest.test_case "12k-deletion proof stays near-linear" `Quick
             test_drup_many_deletions ] );
       ( "reduction",
         [ Alcotest.test_case "PHP under 1-clause reduce interval" `Quick
             test_php_under_reduction ] );
+      ( "rephasing",
+        [ Alcotest.test_case "phase-trapped relaxed-PHP(11,10) solved" `Quick
+            test_rephase_escapes_trap ] );
       ( "budget",
         [ Alcotest.test_case "PHP preempted under Glucose restarts" `Quick
-            (test_budget_mode S.Glucose);
-          Alcotest.test_case "PHP preempted under Luby restarts" `Quick
-            (test_budget_mode S.Luby);
+            (check_budget_preempt (module S));
           Alcotest.test_case "PHP preempted on the baseline core" `Quick
             test_budget_baseline ] ) ]
