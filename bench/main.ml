@@ -35,8 +35,9 @@
                                                  replay over 4 worker domains,
                                                  byte-equivalence vs one-shot
                                                  solves, p50/p99 latency and
-                                                 warm-vs-cold gates (also: dune
-                                                 build @serve-smoke; writes
+                                                 resident-vs-stateless gates
+                                                 (also: dune build
+                                                 @serve-smoke; writes
                                                  BENCH_serve.json)
      dune exec bench/main.exe -- all             everything (the default)
 
@@ -1505,19 +1506,19 @@ let resil_smoke () =
     [ 11; 42; 1337 ]
 
 (* Resident-server smoke (dune build @serve-smoke): replay >= 2000
-   mixed requests (warm-session solves, fresh solves, pings) over
-   >= 4 worker domains from 4 concurrent client connections, and gate
+   mixed requests (solves and pings) over >= 4 worker domains from 4
+   concurrent client connections, and gate
 
      - byte-equivalence: every solve response's canonical result is
        byte-identical to a one-shot [concretize_v] run on the same
        repo, pool, and options;
      - latency: p50/p99 of the server-side serve.latency_ms histogram
        (receipt to response, queueing included);
-     - warm-vs-cold: the first session solve pays the session build
-       (encode + ground + translate of the whole universe); the warm
-       p50 must sit far below it — that gap is the reason the server
-       exists.
+     - resident vs stateless: the p50 must sit well below an unpruned
+       full-pool solve at the same client concurrency.
 
+   It also reports, ungated, the p50 against the strongest honest
+   baseline: the pruned one-shot solve at the replay's concurrency.
    The numbers land in BENCH_serve.json. *)
 let serve_smoke () =
   Printf.printf "\n=== serve-smoke: resident multi-tenant solve server ===\n%!";
@@ -1527,20 +1528,10 @@ let serve_smoke () =
   let options =
     { Core.Concretizer.default_options with Core.Concretizer.reuse = pool; obs }
   in
-  (* Fresh is the default serving mode: per-root pruning keeps each
-     ground program a fraction of the joint universe, the resident
-     closure cache strips the per-request closure walk, and responses
-     are byte-deterministic. The warm sessions (scoped to the
-     objective roots) serve a quarter of the trace — they answer from
-     one shared ground program, which costs more per solve here but is
-     what amortizes when requests outnumber the universe. *)
-  let config =
-    { Core.Serve.default_config with
-      Core.Serve.workers;
-      default_mode = Core.Serve.Fresh;
-      session_roots = quick_specs;
-      options }
-  in
+  (* Every request is a fresh solve: per-root pruning keeps each
+     ground program a fraction of the joint universe, and the resident
+     closure cache strips the per-request closure walk. *)
+  let config = { Core.Serve.default_config with Core.Serve.workers; options } in
   let socket = Printf.sprintf "/tmp/spackml-bench-%d.sock" (Unix.getpid ()) in
   let t =
     match Core.Serve.start ~repo ~config ~socket () with
@@ -1570,26 +1561,24 @@ let serve_smoke () =
   in
   Printf.printf "one-shot solve (encode+ground+solve, pruned): %.1f ms mean\n%!"
     one_shot_ms;
-  (* the stateless baseline the server replaces: every client running
-     its own from-scratch concretizer, grounding the whole buildcache
-     per request (the same baseline fig7b gates sessions against).
-     Measured at the replay's client concurrency so both sides pay the
-     same core-contention and domain-GC tax. *)
-  let unpruned_opts = { one_shot_opts with Core.Concretizer.prune = false } in
-  let unpruned_ms =
+  (* Mean one-shot solve time with every client running its own
+     from-scratch concretizer. Measured at the replay's client
+     concurrency so both sides pay the same core-contention and
+     domain-GC tax. *)
+  let concurrent_ms label opts =
     let per_client () =
       let acc = ref 0.0 in
       Array.iter
         (fun s ->
           let t0 = Obs.Clock.now_s () in
           (match
-             Core.Concretizer.concretize_v ~repo ~options:unpruned_opts
+             Core.Concretizer.concretize_v ~repo ~options:opts
                [ Core.Encode.request_of_string s ]
            with
           | Ok _ -> ()
           | Error f ->
             failwith
-              ("serve-smoke: unpruned " ^ s ^ ": "
+              ("serve-smoke: " ^ label ^ " " ^ s ^ ": "
              ^ f.Core.Concretizer.f_message));
           acc := !acc +. ((Obs.Clock.now_s () -. t0) *. 1000.0))
         specs;
@@ -1601,16 +1590,30 @@ let serve_smoke () =
     in
     List.fold_left ( +. ) 0.0 totals /. float_of_int (clients * nspecs)
   in
+  (* the stateless baseline the gate uses: grounding the whole
+     buildcache per request (the same baseline fig7b gates sessions
+     against) *)
+  let unpruned_ms =
+    concurrent_ms "unpruned"
+      { one_shot_opts with Core.Concretizer.prune = false }
+  in
   Printf.printf
     "stateless baseline: unpruned full-pool solve at %d-way concurrency: \
      %.1f ms mean\n%!"
     clients unpruned_ms;
+  (* the strongest honest baseline: the same pruned solve the server
+     runs, minus the resident closure cache *)
+  let pruned_concurrent_ms = concurrent_ms "pruned" one_shot_opts in
+  Printf.printf
+    "honest baseline: pruned one-shot solve at %d-way concurrency: %.1f ms \
+     mean\n%!"
+    clients pruned_concurrent_ms;
   let connect () =
     match Core.Serve.Client.connect socket with
     | Ok c -> c
     | Error e -> failwith ("serve-smoke: connect: " ^ e)
   in
-  (* cold: the first request on a fresh worker builds its session *)
+  (* cold: the first request on a fresh server computes its closure *)
   let cold_ms =
     let c = connect () in
     let t0 = Obs.Clock.now_s () in
@@ -1624,11 +1627,10 @@ let serve_smoke () =
     Core.Serve.Client.close c;
     ms
   in
-  Printf.printf "cold first request (includes session build): %.1f ms\n%!"
+  Printf.printf "cold first request (includes the closure walk): %.1f ms\n%!"
     cold_ms;
   (* replay: [total] mixed requests round-robin over [clients] client
-     domains; every 4th request is a warm-session solve, every 100th a
-     ping, the rest fresh-mode solves *)
+     domains; every 100th is a ping, the rest solves *)
   let run_client cid =
     let c = connect () in
     let mismatches = ref 0 and pings = ref 0 and not_ok = ref 0 in
@@ -1645,10 +1647,7 @@ let serve_smoke () =
        end
        else begin
          let spec = specs.(idx mod nspecs) in
-         let mode =
-           if idx mod 4 = 1 then Some Core.Serve.Session else None
-         in
-         match Core.Serve.Client.solve ?mode c spec with
+         match Core.Serve.Client.solve c spec with
          | Ok resp ->
            if Sjson.get_string (Sjson.member "status" resp) <> "ok" then
              incr not_ok;
@@ -1687,6 +1686,7 @@ let serve_smoke () =
   (* what a request costs against the resident state vs the stateless
      full-pool grounding it replaces, at equal concurrency *)
   let warm_speedup = unpruned_ms /. p50 in
+  let p50_vs_pruned = p50 /. pruned_concurrent_ms in
   Printf.printf
     "replayed %d requests (%d pings) over %d clients x %d workers in %.1fs \
      (%.0f req/s)\n%!"
@@ -1694,10 +1694,9 @@ let serve_smoke () =
     (float_of_int total /. replay_s);
   Printf.printf
     "latency p50 %.2f ms, p99 %.2f ms (%d samples); vs stateless %.1fx; \
-     steals %d, session builds %d (%d recycles), closure hits/misses %d/%d\n%!"
-    p50 p99 (Obs.Hist.count lat) warm_speedup (counter "serve.steals")
-    (counter "serve.session_builds")
-    (counter "serve.session_recycles")
+     p50 / pruned one-shot %.2f; steals %d, closure hits/misses %d/%d\n%!"
+    p50 p99 (Obs.Hist.count lat) warm_speedup p50_vs_pruned
+    (counter "serve.steals")
     (counter "serve.closure_hits")
     (counter "serve.closure_misses");
   let json =
@@ -1710,16 +1709,16 @@ let serve_smoke () =
         ("throughput_rps", Sjson.Float (float_of_int total /. replay_s));
         ("cold_first_request_ms", Sjson.Float cold_ms);
         ("one_shot_pruned_ms", Sjson.Float one_shot_ms);
+        ("one_shot_pruned_concurrent_ms", Sjson.Float pruned_concurrent_ms);
         ("stateless_baseline_ms", Sjson.Float unpruned_ms);
         ("latency_p50_ms", Sjson.Float p50);
         ("latency_p99_ms", Sjson.Float p99);
         ("warm_speedup", Sjson.Float warm_speedup);
+        ("p50_vs_pruned_one_shot", Sjson.Float p50_vs_pruned);
         ("byte_mismatches", Sjson.Int mismatches);
         ("pings", Sjson.Int pings);
         ("statuses_not_ok", Sjson.Int not_ok);
         ("steals", Sjson.Int (counter "serve.steals"));
-        ("session_builds", Sjson.Int (counter "serve.session_builds"));
-        ("session_recycles", Sjson.Int (counter "serve.session_recycles"));
         ("closure_hits", Sjson.Int (counter "serve.closure_hits"));
         ("closure_misses", Sjson.Int (counter "serve.closure_misses")) ]
   in
@@ -1736,13 +1735,6 @@ let serve_smoke () =
          mismatches);
   if not_ok > 0 then
     failwith (Printf.sprintf "serve-smoke: %d requests did not answer ok" not_ok);
-  if counter "serve.session_builds" < workers then
-    failwith
-      (Printf.sprintf
-         "serve-smoke: expected at least %d session builds (one per worker), \
-          got %d"
-         workers
-         (counter "serve.session_builds"));
   if p50 > 250.0 then
     failwith (Printf.sprintf "serve-smoke: warm p50 %.1f ms > 250 ms" p50);
   if p99 > 2500.0 then
@@ -1786,12 +1778,7 @@ let obs_live_smoke () =
       { Core.Concretizer.default_options with Core.Concretizer.reuse = pool; obs }
     in
     let config =
-      { Core.Serve.default_config with
-        Core.Serve.workers;
-        default_mode = Core.Serve.Fresh;
-        session_roots = quick_specs;
-        telemetry;
-        options }
+      { Core.Serve.default_config with Core.Serve.workers; telemetry; options }
     in
     let socket =
       Printf.sprintf "/tmp/spackml-obslive-%d-%s.sock" (Unix.getpid ()) tag
@@ -1811,10 +1798,8 @@ let obs_live_smoke () =
     | _ -> failwith "obs-live-smoke: expected a JSON number"
   in
   (* Replay [total] solve requests round-robin over [clients] client
-     domains; with [sessions], every 4th request is a warm-session
-     solve (the serve-smoke mix), otherwise all run fresh. Returns
-     wall seconds and the count of non-ok responses. *)
-  let replay ~sessions socket total =
+     domains. Returns wall seconds and the count of non-ok responses. *)
+  let replay socket total =
     let run_client cid =
       let c = connect socket in
       let not_ok = ref 0 in
@@ -1822,10 +1807,7 @@ let obs_live_smoke () =
       while !i < total do
         let idx = !i in
         let spec = specs.(idx mod nspecs) in
-        let mode =
-          if sessions && idx mod 4 = 1 then Some Core.Serve.Session else None
-        in
-        (match Core.Serve.Client.solve ?mode c spec with
+        (match Core.Serve.Client.solve c spec with
         | Ok resp ->
           if Sjson.get_string (Sjson.member "status" resp) <> "ok" then
             incr not_ok
@@ -1853,7 +1835,7 @@ let obs_live_smoke () =
   let miss_rid = "bench-deadline-miss" in
   let replay_s, w_count, w_p50, w_p99, recorder_seen, recorder_kept =
     Fun.protect ~finally:(fun () -> Core.Serve.stop t) @@ fun () ->
-    let replay_s, not_ok = replay ~sessions:true socket total in
+    let replay_s, not_ok = replay socket total in
     if not_ok > 0 then
       failwith
         (Printf.sprintf "obs-live-smoke: %d replay requests not ok" not_ok);
@@ -1949,12 +1931,12 @@ let obs_live_smoke () =
   in
   Fun.protect ~finally:(fun () -> Core.Serve.stop t_on) @@ fun () ->
   (* warm both servers (closure caches) outside the measurement *)
-  ignore (replay ~sessions:false sock_off (4 * nspecs));
-  ignore (replay ~sessions:false sock_on (4 * nspecs));
+  ignore (replay sock_off (4 * nspecs));
+  ignore (replay sock_on (4 * nspecs));
   let off_min = ref infinity and on_min = ref infinity in
   for _ = 1 to reps do
-    let s_off, n_off = replay ~sessions:false sock_off rep_total in
-    let s_on, n_on = replay ~sessions:false sock_on rep_total in
+    let s_off, n_off = replay sock_off rep_total in
+    let s_on, n_on = replay sock_on rep_total in
     if n_off > 0 || n_on > 0 then
       failwith "obs-live-smoke: overhead replay requests not ok";
     off_min := Float.min !off_min s_off;

@@ -937,20 +937,10 @@ let serve_cmd =
         ~doc:"Default per-request deadline, enforced inside the SAT core; \
               preempted requests answer $(b,timeout).")
   in
-  let mode_flag =
-    Arg.(value & opt string "session" & info [ "mode" ] ~docv:"MODE"
-        ~doc:"Default solve mode: $(b,session) (warm incremental sessions) \
-              or $(b,fresh) (byte-deterministic from-scratch solves).")
-  in
   let socket_opt =
     Arg.(value & opt string "/tmp/spackml.sock"
         & info [ "socket" ] ~docv:"PATH"
             ~doc:"Unix socket path (default /tmp/spackml.sock).")
-  in
-  let recycle_flag =
-    Arg.(value & opt int 32 & info [ "recycle" ] ~docv:"N"
-        ~doc:"Rebuild a worker's warm session after N solves to bound \
-              solver-state growth; 0 never recycles (default 32).")
   in
   let horizon_flag =
     Arg.(value & opt float 60.0 & info [ "stats-horizon" ] ~docv:"S"
@@ -970,77 +960,56 @@ let serve_cmd =
         ~doc:"Disable live telemetry entirely: no rolling-window stats, \
               no flight recorder.")
   in
-  let run reuse splicing workers queue deadline_ms mode socket recycle
-      horizon recorder no_live ground_cache ground_jobs portfolio trace
-      trace_format =
+  let run reuse splicing workers queue deadline_ms socket horizon recorder
+      no_live ground_jobs trace trace_format =
     with_trace ~trace ~trace_format @@ fun obs ->
-    match
-      match mode with
-      | "session" -> Ok Core.Serve.Session
-      | "fresh" -> Ok Core.Serve.Fresh
-      | m -> Error m
-    with
-    | Error m ->
-      Format.eprintf "error: --mode: unknown mode %S (try session or fresh)@." m;
-      2
-    | Ok default_mode ->
-      let opts = options ~reuse ~splicing ~old_encoding:false in
-      let opts =
-        { opts with Core.Concretizer.obs; ground_jobs = max 1 ground_jobs }
-      in
-      let config =
-        { Core.Serve.default_config with
-          Core.Serve.workers;
-          max_queue = queue;
-          default_deadline_ms = deadline_ms;
-          default_mode;
-          portfolio = max 1 portfolio;
-          session_recycle = (if recycle <= 0 then None else Some recycle);
-          telemetry =
-            (if no_live then None
-             else
-               Some
-                 { Core.Serve.default_telemetry with
-                   Core.Serve.horizon_s = horizon;
-                   recorder_capacity = max 0 recorder });
-          reuse_source =
-            (if reuse then
-               Some (fun () -> Radiuss.Caches.reusable_specs (Lazy.force local_cache))
-             else None);
-          ground_cache;
-          options = opts }
-      in
-      (match Core.Serve.start ~repo ~config ~socket () with
-      | Error e ->
-        Format.eprintf "error: %s@." e;
-        1
-      | Ok t ->
-        Format.printf "serving on %s (%d workers, %s mode, pool %s)@."
-          socket workers mode
-          (Chash.short (Core.Serve.pool_digest_of t));
-        Core.Serve.wait t;
-        Format.printf "server stopped@.";
-        0)
+    let opts = options ~reuse ~splicing ~old_encoding:false in
+    let opts =
+      { opts with Core.Concretizer.obs; ground_jobs = max 1 ground_jobs }
+    in
+    let config =
+      { Core.Serve.default_config with
+        Core.Serve.workers;
+        max_queue = queue;
+        default_deadline_ms = deadline_ms;
+        telemetry =
+          (if no_live then None
+           else
+             Some
+               { Core.Serve.default_telemetry with
+                 Core.Serve.horizon_s = horizon;
+                 recorder_capacity = max 0 recorder });
+        reuse_source =
+          (if reuse then
+             Some (fun () -> Radiuss.Caches.reusable_specs (Lazy.force local_cache))
+           else None);
+        options = opts }
+    in
+    match Core.Serve.start ~repo ~config ~socket () with
+    | Error e ->
+      Format.eprintf "error: %s@." e;
+      1
+    | Ok t ->
+      Format.printf "serving on %s (%d workers, pool %s)@." socket workers
+        (Chash.short (Core.Serve.pool_digest_of t));
+      Core.Serve.wait t;
+      Format.printf "server stopped@.";
+      0
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run a resident concretization server: warm solve sessions per \
-          worker domain, bounded admission, per-request deadlines, and a \
-          length-prefixed JSON protocol over a Unix socket. Stop it with \
-          $(b,spackml client --shutdown).")
+         "Run a resident concretization server: worker domains answering \
+          every solve with a fresh pruned solve over a cached dependency \
+          closure (byte-identical to $(b,spackml concretize)), bounded \
+          admission, per-request deadlines, and a length-prefixed JSON \
+          protocol over a Unix socket. Stop it with $(b,spackml client \
+          --shutdown).")
     Term.(const run $ reuse_flag $ splice_flag $ workers_flag $ queue_flag
-          $ deadline_flag $ mode_flag $ socket_opt $ recycle_flag
-          $ horizon_flag $ recorder_flag $ no_live_flag
-          $ ground_cache_flag $ ground_jobs_flag $ portfolio_flag
-          $ trace_flag $ trace_format_flag)
+          $ deadline_flag $ socket_opt $ horizon_flag $ recorder_flag
+          $ no_live_flag $ ground_jobs_flag $ trace_flag $ trace_format_flag)
 
 let client_cmd =
-  let mode_flag =
-    Arg.(value & opt (some string) None & info [ "mode" ] ~docv:"MODE"
-        ~doc:"Solve mode for this request: $(b,session) or $(b,fresh) \
-              (default: the server's).")
-  in
   let deadline_flag =
     Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS"
         ~doc:"Per-request deadline.")
@@ -1072,69 +1041,58 @@ let client_cmd =
         ~doc:"Base retry delay, doubling per retry (with $(b,--retries)).")
   in
   let specs_arg = Arg.(value & pos_all string [] & info [] ~docv:"SPEC") in
-  let run socket mode deadline_ms conflicts retries backoff_ms ping stats reload
+  let run socket deadline_ms conflicts retries backoff_ms ping stats reload
       shutdown specs =
-    match
-      match mode with
-      | None -> Ok None
-      | Some "session" -> Ok (Some Core.Serve.Session)
-      | Some "fresh" -> Ok (Some Core.Serve.Fresh)
-      | Some m -> Error m
-    with
-    | Error m ->
-      Format.eprintf "error: --mode: unknown mode %S@." m;
-      2
-    | Ok mode -> (
-      match Core.Serve.Client.connect ~retries ~backoff_ms socket with
-      | Error e ->
-        Format.eprintf "error: %s@." e;
-        1
-      | Ok c ->
-        Fun.protect ~finally:(fun () -> Core.Serve.Client.close c) @@ fun () ->
-        let failures = ref 0 in
-        let show label = function
-          | Ok resp -> Format.printf "%s%s@." label (Sjson.to_string ~pretty:true resp)
+    match Core.Serve.Client.connect ~retries ~backoff_ms socket with
+    | Error e ->
+      Format.eprintf "error: %s@." e;
+      1
+    | Ok c ->
+      Fun.protect ~finally:(fun () -> Core.Serve.Client.close c) @@ fun () ->
+      let failures = ref 0 in
+      let show label = function
+        | Ok resp -> Format.printf "%s%s@." label (Sjson.to_string ~pretty:true resp)
+        | Error e ->
+          incr failures;
+          Format.eprintf "%serror: %s@." label e
+      in
+      if ping then show "" (Core.Serve.Client.ping c);
+      if stats then show "" (Core.Serve.Client.stats c);
+      if reload then show "" (Core.Serve.Client.reload c);
+      List.iter
+        (fun spec ->
+          let label = spec ^ ": " in
+          match Core.Serve.Client.solve ?deadline_ms ?conflicts c spec with
           | Error e ->
             incr failures;
             Format.eprintf "%serror: %s@." label e
-        in
-        if ping then show "" (Core.Serve.Client.ping c);
-        if stats then show "" (Core.Serve.Client.stats c);
-        if reload then show "" (Core.Serve.Client.reload c);
-        List.iter
-          (fun spec ->
-            let label = spec ^ ": " in
-            match Core.Serve.Client.solve ?mode ?deadline_ms ?conflicts c spec with
-            | Error e ->
-              incr failures;
-              Format.eprintf "%serror: %s@." label e
-            | Ok resp ->
-              let status =
-                match Sjson.member_opt "status" resp with
-                | Some (Sjson.String s) -> s
-                | _ -> "?"
-              in
-              if status <> "ok" then incr failures;
-              Format.printf "%s%s %s@." label status
-                (Sjson.to_string (Sjson.member "result" resp)))
-          specs;
-        if shutdown then show "" (Core.Serve.Client.shutdown c);
-        if (not ping) && (not stats) && (not reload) && (not shutdown)
-           && specs = []
-        then begin
-          Format.eprintf "error: give SPECs or one of --ping/--stats/--reload/--shutdown@.";
-          2
-        end
-        else if !failures = 0 then 0
-        else 1)
+          | Ok resp ->
+            let status =
+              match Sjson.member_opt "status" resp with
+              | Some (Sjson.String s) -> s
+              | _ -> "?"
+            in
+            if status <> "ok" then incr failures;
+            Format.printf "%s%s %s@." label status
+              (Sjson.to_string (Sjson.member "result" resp)))
+        specs;
+      if shutdown then show "" (Core.Serve.Client.shutdown c);
+      if (not ping) && (not stats) && (not reload) && (not shutdown)
+         && specs = []
+      then begin
+        Format.eprintf "error: give SPECs or one of --ping/--stats/--reload/--shutdown@.";
+        2
+      end
+      else if !failures = 0 then 0
+      else 1
   in
   Cmd.v
     (Cmd.info "client"
        ~doc:
          "Drive a running $(b,spackml serve): solve specs (optionally with \
-          per-request deadlines and modes), ping, fetch stats, trigger a \
-          buildcache reload, or shut the server down.")
-    Term.(const run $ socket_flag $ mode_flag $ deadline_flag $ conflicts_flag
+          per-request deadlines and conflict caps), ping, fetch stats, \
+          trigger a buildcache reload, or shut the server down.")
+    Term.(const run $ socket_flag $ deadline_flag $ conflicts_flag
           $ client_retries_flag $ backoff_flag $ ping_flag $ stats_flag'
           $ reload_flag $ shutdown_flag $ specs_arg)
 
@@ -1187,12 +1145,12 @@ let top_cmd =
       (n [ "result"; "uptime_s" ])
       (int_of_float (n [ "result"; "generation" ]));
     Format.printf
-      "workers %d   pending %d   served %d   rejected %d   roots %d@."
+      "workers %d   pending %d   served %d   rejected %d   closures %d@."
       (int_of_float (n [ "result"; "workers" ]))
       (int_of_float (n [ "result"; "pending" ]))
       (int_of_float (n [ "result"; "served" ]))
       (int_of_float (n [ "result"; "rejected" ]))
-      (int_of_float (n [ "result"; "roots" ]));
+      (int_of_float (n [ "result"; "closures" ]));
     (match Sjson.member_opt "window" (Sjson.member "result" stats) with
     | None ->
       Format.printf "@.(live telemetry disabled on this server)@."
@@ -1216,11 +1174,8 @@ let top_cmd =
         (pct (wn [ "overload_rate" ]))
         (pct (wn [ "deadline_miss_rate" ]))
         (pct (wn [ "error_rate" ]));
-      Format.printf
-        "caches: closure %.1f%%   ground %.1f%%   session recycles %d@."
-        (pct (wn [ "closure_hit_rate" ]))
-        (pct (wn [ "ground_cache_hit_rate" ]))
-        (int_of_float (wn [ "session_recycles" ])));
+      Format.printf "caches: closure %.1f%%@."
+        (pct (wn [ "closure_hit_rate" ])));
     match dump with
     | None -> ()
     | Some d ->

@@ -24,11 +24,8 @@ module type S = sig
   val session_create :
     ?certify:bool -> ?obs:Obs.ctx -> ?portfolio:int -> Ground.t -> session
   val session_solve : session -> assume:(Ast.atom * bool) list -> outcome
-  val session_set_budget : session -> Solver_intf.budget option -> unit
-  val session_set_portfolio : session -> int -> unit
   val session_ground : session -> Ground.t
   val session_sat_stats : session -> (string * int) list
-  val session_solves : session -> int
   val holds : model -> Ast.atom -> bool
   val enumerate : ?limit:int -> Ground.t -> model list
 end
@@ -483,7 +480,7 @@ let solve ?(certify = false) ?(obs = Obs.disabled) ?budget ?(portfolio = 1) g =
 type session = {
   s_ctx : ctx;
   s_objectives : objective list;
-  mutable s_portfolio : int;
+  s_portfolio : int;
   mutable s_solves : int;
 }
 
@@ -497,20 +494,7 @@ let session_create ?(certify = false) ?(obs = Obs.disabled) ?(portfolio = 1) g
 
 let session_ground s = s.s_ctx.g
 
-(* Budgets only ever raise out of [solve] with the solver unwound to
-   level 0, and everything the optimization descent adds is gated by
-   activation literals, so a preempted request leaves the session
-   consistent for the next one. *)
-let session_set_budget s b = S.set_budget s.s_ctx.sat b
-
-(* Portfolio width for subsequent requests. Safe to retune between
-   requests: racing only ever touches clones, so the session's own
-   solver state is identical whatever the width. *)
-let session_set_portfolio s n = s.s_portfolio <- max 1 n
-
 let session_sat_stats s = S.stats s.s_ctx.sat
-
-let session_solves s = s.s_solves
 
 exception Unknown_true_assumption
 

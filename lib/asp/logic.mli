@@ -92,30 +92,10 @@ module type S = sig
       returned model are this request's deltas ({!Sat.stats_delta});
       [stable_checks] and [loop_clauses] are session-cumulative. *)
 
-  val session_set_budget : session -> Solver_intf.budget option -> unit
-  (** Install (or clear) a preemption budget on the session's solver,
-      honored by every SAT call of subsequent {!session_solve}s. A
-      request preempted by {!Solver_intf.Timeout} leaves the session
-      fully reusable: the solver is unwound to level 0 and all
-      optimization constraints are activation-literal-gated, so the
-      next request is unaffected (this is the solve server's deadline
-      mechanism). *)
-
-  val session_set_portfolio : session -> int -> unit
-  (** Retune the portfolio width ({!session_create}'s [?portfolio]) for
-      subsequent requests; clamped to at least 1. Safe between
-      requests — racing only ever touches throwaway clones, so session
-      state (and every outcome) is independent of the width. The solve
-      server uses this to widen a request to however many worker slots
-      are idle at admission time. *)
-
   val session_ground : session -> Ground.t
 
   val session_sat_stats : session -> (string * int) list
   (** Session-cumulative solver counters. *)
-
-  val session_solves : session -> int
-  (** Requests served so far. *)
 
   val holds : model -> Ast.atom -> bool
 

@@ -356,36 +356,22 @@ module Session = struct
 
   let sat_stats s = Asp.Logic.session_sat_stats s.session
 
-  let solves s = Asp.Logic.session_solves s.session
-
-  let set_portfolio s n = Asp.Logic.session_set_portfolio s.session n
-
-  let solve ?budget ?obs ?(attrs = []) s (request : Encode.request) =
+  let solve s (request : Encode.request) =
     match check_known ~repo:s.repo [ request ] with
     | Some e -> fail e
     | None -> (
       match Encode.assumptions_for s.env request with
       | Error e -> fail e
       | Ok assume -> (
-        (* [?obs] overrides the session's context for this request's
-           spans and stats — the serve layer tees in a per-request
-           flight-recorder context here. The solver-internal spans
-           still go to the context captured at session creation. *)
-        let obs = match obs with Some o -> o | None -> s.options.obs in
+        let obs = s.options.obs in
         Obs.with_span obs ~cat:"concretize" "session.request"
           ~attrs:
-            (( "root",
-               Obs.S request.Encode.req.Spec.Abstract.root.Spec.Abstract.name )
-            :: attrs)
+            [ ( "root",
+                Obs.S request.Encode.req.Spec.Abstract.root.Spec.Abstract.name )
+            ]
         @@ fun _span ->
-        (* The budget is installed per call (and cleared when absent):
-           a preempted request unwinds the solver to level 0 and all
-           descent constraints are activation-gated, so the session
-           stays valid for the next request. *)
-        Asp.Logic.session_set_budget s.session budget;
         let t0 = now () in
         match Asp.Logic.session_solve s.session ~assume with
-        | exception Asp.Solver_intf.Timeout -> fail_timeout ()
         | Asp.Logic.Unsat proof ->
           Error
             { f_message = "UNSAT: no valid concretization exists";
@@ -447,8 +433,8 @@ module Warm = struct
   }
 
   (* The buildcache identity: a content hash over the sorted DAG
-     hashes of the reusable specs (same scheme the solve server keys
-     its eviction generation on). *)
+     hashes of the reusable specs (the solve server keys its eviction
+     generation on it too). *)
   let pool_digest specs =
     List.map Spec.Concrete.dag_hash specs
     |> List.sort String.compare

@@ -160,22 +160,10 @@ module Session : sig
       jointly; [?closure] supplies it precomputed (see
       {!Encode.encode}). *)
 
-  val solve :
-    ?budget:Asp.Solver_intf.budget ->
-    ?obs:Obs.ctx ->
-    ?attrs:(string * Obs.value) list ->
-    t ->
-    Encode.request ->
-    (outcome, failure) result
+  val solve : t -> Encode.request -> (outcome, failure) result
   (** Serve one single-root request. [stats] report the session's
       (amortized) ground numbers, zero encode/ground seconds, and
-      per-request deltas for the solver counters. [?budget] bounds this
-      request's solver work; a preempted request fails with
-      [f_timeout = true] and leaves the session fully reusable (the
-      solve server's deadline mechanism). [?obs] overrides the
-      session's context for this request's ["session.request"]/decode
-      spans and published stats (request-scoped tracing); [?attrs] are
-      stamped on the ["session.request"] span. *)
+      per-request deltas for the solver counters. *)
 
   val setup_seconds : t -> float
   (** One-time encode + ground + translate cost paid by [create]. *)
@@ -183,13 +171,6 @@ module Session : sig
   val sat_stats : t -> (string * int) list
   (** Session-cumulative solver counters. *)
 
-  val solves : t -> int
-
-  val set_portfolio : t -> int -> unit
-  (** Retune the portfolio width (initially [options.portfolio]) for
-      subsequent requests; clamped to at least 1. Safe between
-      requests — outcomes are width-independent (byte-identity rule),
-      only wall time changes. *)
 end
 
 (** Warm delta-grounded universes: the request-independent session
@@ -231,7 +212,7 @@ module Warm : sig
 
   val pool_digest : Spec.Concrete.t list -> string
   (** Content digest of a buildcache (sorted DAG hashes) — the pool
-      half of the ground-cache key, shared with the solve server's
+      half of the ground-cache key, and the key of the solve server's
       eviction generation. *)
 
   val generation : t -> int

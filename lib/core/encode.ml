@@ -543,7 +543,7 @@ let encode_base ~obs ~repo ~encoding ~splicing ~reuse ~prune ~closure_hint
       match closure_hint with
       | Some cl ->
         (* Precomputed (typically cached by the solve server, keyed on
-           roots + pool digest). The caller owns its correctness; a
+           root + pool digest). The caller owns its correctness; a
            stale hint would silently unprune or overprune. *)
         Obs.incr obs "encode.closure_cache_hits";
         Some cl

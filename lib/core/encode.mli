@@ -73,7 +73,7 @@ val encode :
     pool to the {!closure} of the requested roots: a buildcache of
     thousands of specs grounds like one holding only the specs a
     request could actually use. [?closure] supplies that closure
-    precomputed (the solve server caches it keyed by roots + pool
+    precomputed (the solve server caches it keyed by root + pool
     digest); it is trusted as-is and only consulted when [prune] is
     set, counting an [encode.closure_cache_hits] metric. [?obs]
     records the closure computation as an [encode.closure] span and

@@ -7,8 +7,8 @@
    any change to the repo encoding, the logic program, or the pool
    lands on a different key, so a stale file can never be served (it
    is simply never looked up again). Files are written to a temp name
-   and renamed into place, making concurrent writers (several serve
-   workers warming up at once) safe: last rename wins and both wrote
+   and renamed into place, making concurrent writers (several
+   processes warming up at once) safe: last rename wins and both wrote
    identical bytes for identical keys. *)
 
 let magic = "spackml-groundcache\x01"

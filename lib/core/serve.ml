@@ -1,12 +1,13 @@
 (* spackml serve: a resident multi-tenant concretization server.
 
-   The one-shot CLI pays encode + ground + solver warm-up on every
-   request; the server keeps that state alive and serves requests over
-   a Unix socket instead:
+   The one-shot CLI pays fixture load + closure walk on every request;
+   the server keeps the buildcache and the per-root dependency closures
+   alive and serves requests over a Unix socket instead. Every solve
+   takes one path: a fresh, pruned [Concretizer.concretize_v] on the
+   worker's domain, handed the cached closure of the request's root, so
+   each answer is byte-identical to a one-shot solve.
 
-   - a pool of OCaml 5 domain workers, each owning a warm
-     [Concretizer.Session] (ground program translated once, solved
-     under per-request assumptions);
+   - a pool of OCaml 5 domain workers;
    - a work-distributing request queue with stealing: submission is
      round-robin over per-worker queues, an idle worker drains its own
      queue first and then steals from its neighbours; admission is
@@ -14,12 +15,19 @@
      rejection instead of unbounded latency;
    - per-request deadlines and conflict caps enforced inside the SAT
      core by the [Asp.Solver_intf.budget] hook — a preempted request
-     answers [timeout] and leaves the worker's session reusable;
-   - dependency closures cached by (roots, pool digest) and evicted
-     whenever the buildcache digest changes ([set_reuse] bumps a
-     generation; stale sessions rebuild lazily);
+     answers [timeout];
+   - dependency closures cached per known root and dropped whenever
+     the buildcache digest changes ([set_reuse] bumps a generation);
    - length-prefixed JSON frames ([Sjson.Frame]) as the wire protocol,
      with [Client] as the in-process driver.
+
+   Warm incremental sessions and portfolio racing on idle workers used
+   to be further serving options. On the serve-smoke replay (4 clients
+   x 4 workers, 2-core host, median of 3 runs) all-session requests
+   ran at 39.0 req/s against 45.1 req/s all-fresh, and portfolio 4 at
+   39.3 req/s against 44.5 req/s at portfolio 1, so both were
+   removed. The "mode" and "portfolio" request fields of older
+   clients are ignored.
 
    Threading model: solver work runs on domains (true parallelism);
    socket I/O runs on lightweight systhreads (one acceptor, one reader
@@ -27,8 +35,6 @@
    Workers write responses directly to the originating connection
    under its write mutex, so responses to pipelined requests may
    arrive out of order — they carry the request [id] for matching. *)
-
-type mode = Session | Fresh
 
 (* Live-telemetry knobs: rolling SLO windows plus the flight recorder.
    The horizon is split into [slots] rotating sub-windows, so the
@@ -55,27 +61,9 @@ type config = {
   max_queue : int;  (* admission bound: max enqueued-not-yet-running jobs *)
   default_deadline_ms : float option;
   default_conflicts : int option;
-  default_mode : mode;
-  portfolio : int;
-      (* upper bound on per-request portfolio width: a solve may race
-         up to this many diversified SAT clones, but only by borrowing
-         provably idle worker slots (a bounded token pool), so racing
-         never steals CPU from queued requests. 1 = feature off. *)
-  session_roots : string list;
-      (* universe of the warm sessions; [] = every non-virtual package *)
-  session_recycle : int option;
-      (* rebuild a worker's session after this many solves: repeated
-         optimization descents leave deactivated constraints behind,
-         so a long-lived session slows down; recycling bounds that
-         growth at the cost of an amortized rebuild *)
   fault_injection : bool;  (* honor the "boom" request flag *)
   reuse_source : (unit -> Spec.Concrete.t list) option;
       (* backing of the wire "reload" op *)
-  ground_cache : string option;
-      (* persistent on-disk ground cache directory: workers load their
-         warm grounding from it on cold start and persist new pool
-         generations into it (keys carry the pool digest, so a reload
-         can never serve a stale grounding) *)
   telemetry : telemetry option;
       (* live windowed stats + flight recorder; [None] turns the whole
          layer off (the disabled path is a single branch per request) *)
@@ -87,24 +75,10 @@ let default_config =
     max_queue = 256;
     default_deadline_ms = None;
     default_conflicts = None;
-    default_mode = Session;
-    portfolio = 1;
-    session_roots = [];
-    session_recycle = Some 32;
     fault_injection = false;
     reuse_source = None;
-    ground_cache = None;
     telemetry = Some default_telemetry;
     options = Concretizer.default_options }
-
-(* The buildcache identity: a content hash over the sorted DAG hashes
-   of the reusable specs. Cached closures and warm sessions are valid
-   exactly as long as this digest is. *)
-let pool_digest specs =
-  List.map Spec.Concrete.dag_hash specs
-  |> List.sort String.compare
-  |> String.concat "\n"
-  |> Chash.hash_string
 
 (* ---- connections --------------------------------------------------- *)
 
@@ -188,9 +162,6 @@ type live = {
   lv_deadline_miss : Obs.Window.counter;
   lv_closure_hits : Obs.Window.counter;
   lv_closure_misses : Obs.Window.counter;
-  lv_gcache_hits : Obs.Window.counter;
-  lv_gcache_misses : Obs.Window.counter;
-  lv_recycles : Obs.Window.counter;
   lv_recorder : Obs.Recorder.t option;
 }
 
@@ -209,9 +180,6 @@ let make_live (tc : telemetry) =
     lv_deadline_miss = c ();
     lv_closure_hits = c ();
     lv_closure_misses = c ();
-    lv_gcache_hits = c ();
-    lv_gcache_misses = c ();
-    lv_recycles = c ();
     lv_recorder =
       (if tc.recorder_capacity > 0 then
          Some
@@ -236,8 +204,6 @@ type t = {
   config : config;
   sock_path : string;
   listen_fd : Unix.file_descr;
-  roots : string list;  (* session universe, sorted *)
-  roots_set : (string, unit) Hashtbl.t;  (* read-only after start *)
   (* queueing (guarded by [mu]) *)
   mu : Mutex.t;
   nonempty : Condition.t;
@@ -254,13 +220,8 @@ type t = {
   mutable digest : string;
   mutable generation : int;
   closures : (string, (string, unit) Hashtbl.t) Hashtbl.t;
-      (* roots key -> closure; valid for the current generation only *)
-  (* Idle-worker tokens backing portfolio admission: capacity is
-     [workers - 1] (every slot but the one doing the solve). A raced
-     request CAS-borrows up to [portfolio - 1] tokens for its racer
-     domains and returns them when the race ends; when the server is
-     busy the pool is empty and solves simply run single. *)
-  idle_tokens : int Atomic.t;
+      (* root -> closure, for roots the repo knows only; valid for the
+         current generation only *)
   (* live telemetry *)
   started_s : float;
   rid_counter : int Atomic.t;  (* server-assigned request ids *)
@@ -294,14 +255,12 @@ let pool_digest_of t =
   Mutex.unlock t.pool_mu;
   d
 
-(* Swap the reusable pool. A digest change bumps the generation:
-   cached closures are dropped eagerly, warm sessions are invalidated
-   lazily (each worker compares generations before reusing its
-   session). Same digest = no-op, so callers can re-feed the same
-   buildcache freely. *)
+(* Swap the reusable pool. A digest change bumps the generation and
+   drops every cached closure. Same digest = no-op, so callers can
+   re-feed the same buildcache freely. *)
 let set_reuse t specs =
   Mutex.lock t.pool_mu;
-  let d = pool_digest specs in
+  let d = Concretizer.Warm.pool_digest specs in
   let changed = d <> t.digest in
   if changed then begin
     t.reuse <- specs;
@@ -315,16 +274,18 @@ let set_reuse t specs =
   changed
 
 (* A consistent snapshot of the buildcache state plus the cached (or
-   freshly computed and cached) closure for [roots]. Taken under
+   freshly computed and cached) closure for [root]. Taken under
    [pool_mu] so a concurrent [set_reuse] can never pair an old closure
-   with a new pool. *)
-let pool_snapshot t roots =
-  let key = String.concat "\x00" roots in
+   with a new pool. Only roots the repo knows are cached: the key comes
+   from the client, and a root the repo does not know gets no closure,
+   so [concretize_v] answers it exactly as a one-shot solve would. *)
+let pool_snapshot t root =
+  let known = Pkg.Repo.mem t.repo root || Pkg.Repo.is_virtual t.repo root in
   Mutex.lock t.pool_mu;
   let closure =
-    if not t.config.options.Concretizer.prune then None
+    if not (t.config.options.Concretizer.prune && known) then None
     else
-      match Hashtbl.find_opt t.closures key with
+      match Hashtbl.find_opt t.closures root with
       | Some cl ->
         Obs.incr (obs t) "serve.closure_hits";
         (match t.live with
@@ -334,9 +295,9 @@ let pool_snapshot t roots =
       | None ->
         let cl =
           Encode.closure ~repo:t.repo
-            ~splicing:t.config.options.Concretizer.splicing ~pool:t.pool roots
+            ~splicing:t.config.options.Concretizer.splicing ~pool:t.pool [ root ]
         in
-        Hashtbl.replace t.closures key cl;
+        Hashtbl.replace t.closures root cl;
         Obs.incr (obs t) "serve.closure_misses";
         (match t.live with
         | Some lv -> Obs.Window.add lv.lv_closure_misses 1
@@ -477,18 +438,6 @@ let field_bool k j =
   | Some (Sjson.Bool b) -> b
   | _ -> false
 
-type worker_session =
-  | No_session
-  | Warm of Concretizer.Session.t * int  (* session, generation *)
-  | Broken of string * int  (* create failed; don't retry this generation *)
-
-type worker = {
-  w_index : int;
-  mutable w_warm : Concretizer.Warm.t option;
-      (* the worker's delta-grounded universe; survives evictions *)
-  mutable w_session : worker_session;
-}
-
 let budget_of ~conflicts ~deadline : Asp.Solver_intf.budget option =
   match (conflicts, deadline) with
   | None, None -> None
@@ -498,89 +447,13 @@ let budget_of ~conflicts ~deadline : Asp.Solver_intf.budget option =
         b_stop =
           Option.map (fun d () -> Obs.Clock.now_s () > d) deadline }
 
-let solve_options t reuse =
-  { t.config.options with Concretizer.reuse; mirrors = None }
-
-(* CAS-borrow up to [want] idle-worker tokens for a portfolio race;
-   returns how many were actually free (possibly 0 — the solve then
-   runs single). Lock-free: competes only with other workers' borrows
-   and returns. *)
-let borrow_tokens t want =
-  let rec go got =
-    if got >= want then got
-    else
-      let cur = Atomic.get t.idle_tokens in
-      if cur <= 0 then got
-      else if Atomic.compare_and_set t.idle_tokens cur (cur - 1) then
-        go (got + 1)
-      else go got
-  in
-  if want <= 0 then 0 else go 0
-
-let return_tokens t n =
-  if n > 0 then ignore (Atomic.fetch_and_add t.idle_tokens n)
-
-(* The worker's warm session for the current generation. The worker
-   keeps a delta-grounded universe ([Concretizer.Warm]) across
-   evictions: a generation bump applies the buildcache delta to the
-   warm grounding instead of discarding it, and only the (cheap)
-   solver session is rebuilt from the updated snapshot. Recycling
-   likewise re-translates the existing grounding. [None] = warm-up
-   failed (served fresh instead). *)
-let ensure_session t w =
-  let reuse, gen, _closure = pool_snapshot t t.roots in
-  let worn_out s =
-    match t.config.session_recycle with
-    | Some cap when Concretizer.Session.solves s >= cap ->
-      Obs.incr (obs t) "serve.session_recycles";
-      (match t.live with
-      | Some lv -> Obs.Window.add lv.lv_recycles 1
-      | None -> ());
-      true
-    | _ -> false
-  in
-  (match w.w_session with
-  | Warm (s, g) when g = gen && not (worn_out s) -> ()
-  | Broken (_, g) when g = gen -> ()
-  | _ ->
-    Obs.incr (obs t) "serve.session_builds";
-    w.w_session <-
-      (match
-         (match w.w_warm with
-         | Some warm ->
-           ignore (Concretizer.Warm.set_pool warm reuse);
-           Ok warm
-         | None -> (
-           match
-             Concretizer.Warm.create ~repo:t.repo
-               ~options:(solve_options t reuse)
-               ?ground_cache:t.config.ground_cache ~roots:t.roots ()
-           with
-           | Ok warm ->
-             w.w_warm <- Some warm;
-             (match (t.live, t.config.ground_cache) with
-             | Some lv, Some _ ->
-               if Concretizer.Warm.from_cache warm then
-                 Obs.Window.add lv.lv_gcache_hits 1
-               else Obs.Window.add lv.lv_gcache_misses 1
-             | _ -> ());
-             Ok warm
-           | Error e -> Error e))
-       with
-      | Ok warm -> Warm (Concretizer.Warm.session warm, gen)
-      | Error e -> Broken (e, gen)
-      | exception e -> Broken (Printexc.to_string e, gen)));
-  match w.w_session with
-  | Warm (s, _) -> Some s
-  | Broken _ | No_session -> None
-
 (* Serve one solve request; returns (status, canonical result, extra
    response fields). [robs] is the request-scoped observation context
    (the shared server context teed with the job's flight-recorder
    context) — concretizer spans recorded through it land in both.
    Raises on internal faults (caught by the caller and answered as a
    typed error). *)
-let run_solve t w job robs =
+let run_solve t job robs =
   let payload = job.j_payload in
   if t.config.fault_injection && field_bool "boom" payload then
     failwith "injected worker fault";
@@ -606,69 +479,22 @@ let run_solve t w job robs =
           | None -> t.config.default_conflicts
         in
         let budget = budget_of ~conflicts ~deadline:job.j_deadline in
-        let mode =
-          match field_string "mode" payload with
-          | Some "fresh" -> Fresh
-          | Some "session" -> Session
-          | _ -> t.config.default_mode
-        in
-        let root =
-          request.Encode.req.Spec.Abstract.root.Spec.Abstract.name
-        in
-        let rid_attr = [ ("rid", Obs.S job.j_rid) ] in
-        (* Portfolio admission: the request may ask for a width (the
-           "portfolio" field, capped by the server's configured bound),
-           but the race only materializes to the extent idle worker
-           slots exist right now — borrowed tokens come back when the
-           race ends. Under load the pool is empty and this degrades to
-           a plain single solve. *)
-        let pf_want =
-          let cap = max 1 t.config.portfolio in
-          match field_int "portfolio" payload with
-          | Some n -> min (max 1 n) cap
-          | None -> cap
-        in
-        let pf_tokens = borrow_tokens t (pf_want - 1) in
-        let pf_n = 1 + pf_tokens in
-        Fun.protect ~finally:(fun () -> return_tokens t pf_tokens)
-        @@ fun () ->
-        let fresh () =
-          let reuse, gen, closure = pool_snapshot t [ root ] in
-          let r =
-            Concretizer.concretize_v ~repo:t.repo
-              ~options:
-                { (solve_options t reuse) with
-                  Concretizer.obs = robs;
-                  portfolio = pf_n }
-              ?budget ?closure ~attrs:rid_attr [ request ]
-          in
-          (r, "fresh", gen)
-        in
-        let result, mode_used, gen =
-          match mode with
-          | Fresh -> fresh ()
-          | Session -> (
-            (* Roots outside the warm universe can't be served under
-               assumptions; fall back to a fresh solve. *)
-            if not (Hashtbl.mem t.roots_set root) then fresh ()
-            else
-              match ensure_session t w with
-              | None -> fresh ()
-              | Some s ->
-                let gen =
-                  match w.w_session with Warm (_, g) -> g | _ -> assert false
-                in
-                Concretizer.Session.set_portfolio s pf_n;
-                ( Concretizer.Session.solve ?budget ~obs:robs ~attrs:rid_attr s
-                    request,
-                  "session",
-                  gen ))
+        let root = request.Encode.req.Spec.Abstract.root.Spec.Abstract.name in
+        let reuse, gen, closure = pool_snapshot t root in
+        let result =
+          Concretizer.concretize_v ~repo:t.repo
+            ~options:
+              { t.config.options with
+                Concretizer.reuse;
+                mirrors = None;
+                obs = robs }
+            ?budget ?closure
+            ~attrs:[ ("rid", Obs.S job.j_rid) ]
+            [ request ]
         in
         ( status_of_result result,
           canonical_of_result result,
-          ("mode", Sjson.String mode_used)
-          :: ("generation", Sjson.Int gen)
-          :: (if pf_n > 1 then [ ("portfolio", Sjson.Int pf_n) ] else []) )
+          [ ("generation", Sjson.Int gen) ] )
       end)
 
 let hist_summary_json h =
@@ -704,9 +530,7 @@ let live_stats_json lv ?window_s () =
   and overloaded = count lv.lv_overloaded
   and deadline_miss = count lv.lv_deadline_miss
   and cl_hits = count lv.lv_closure_hits
-  and cl_misses = count lv.lv_closure_misses
-  and gc_hits = count lv.lv_gcache_hits
-  and gc_misses = count lv.lv_gcache_misses in
+  and cl_misses = count lv.lv_closure_misses in
   Sjson.Object
     ([ ("window_s", Sjson.Float covered);
        ("horizon_s", Sjson.Float (Obs.Window.hist_horizon_s lv.lv_solve_ms));
@@ -724,9 +548,7 @@ let live_stats_json lv ?window_s () =
        ("overload_rate", Sjson.Float (rate overloaded));
        ("deadline_miss_rate", Sjson.Float (rate deadline_miss));
        ("error_rate", Sjson.Float (rate error));
-       ("closure_hit_rate", Sjson.Float (hit_rate cl_hits cl_misses));
-       ("ground_cache_hit_rate", Sjson.Float (hit_rate gc_hits gc_misses));
-       ("session_recycles", Sjson.Int (count lv.lv_recycles)) ]
+       ("closure_hit_rate", Sjson.Float (hit_rate cl_hits cl_misses)) ]
     @
     match lv.lv_recorder with
     | None -> []
@@ -741,6 +563,9 @@ let run_stats t payload =
   Mutex.lock t.mu;
   let pending = t.pending and served = t.served and rejected = t.rejected in
   Mutex.unlock t.mu;
+  Mutex.lock t.pool_mu;
+  let closures = Hashtbl.length t.closures in
+  Mutex.unlock t.pool_mu;
   Sjson.Object
     ([ ("status", Sjson.String "ok");
        ("workers", Sjson.Int (Array.length t.queues));
@@ -749,7 +574,7 @@ let run_stats t payload =
        ("rejected", Sjson.Int rejected);
        ("generation", Sjson.Int (generation t));
        ("digest", Sjson.String (pool_digest_of t));
-       ("roots", Sjson.Int (List.length t.roots));
+       ("closures", Sjson.Int closures);
        ("uptime_s", Sjson.Float (Obs.Clock.now_s () -. t.started_s)) ]
     @
     match t.live with
@@ -802,19 +627,19 @@ let handle_job t w job =
      When both are disabled this is [Obs.disabled]. *)
   let robs = Obs.tee (obs t) job.j_obs in
   Obs.instant job.j_obs
-    ~attrs:[ ("worker", Obs.I w.w_index); ("queue_ms", Obs.F queue_ms) ]
+    ~attrs:[ ("worker", Obs.I w); ("queue_ms", Obs.F queue_ms) ]
     "serve.dequeued";
   let status, result, extra =
     Obs.with_span robs ~cat:"serve" "serve.request"
       ~attrs:
         [ ("rid", Obs.S job.j_rid);
-          ("worker", Obs.I w.w_index);
+          ("worker", Obs.I w);
           ("op", Obs.S op) ]
     @@ fun span ->
     let r =
       match
         match op with
-        | "solve" -> run_solve t w job robs
+        | "solve" -> run_solve t job robs
         | "ping" -> ("ok", Sjson.Object [ ("status", Sjson.String "pong") ], [])
         | "stats" -> ("ok", run_stats t job.j_payload, [])
         | "dump" -> ("ok", run_dump t job.j_payload, [])
@@ -848,7 +673,7 @@ let handle_job t w job =
     | Some r when op = "solve" || status <> "ok" ->
       ignore
         (Obs.Recorder.record r ~rid:job.j_rid ~op ~status ~deadline_missed
-           ~worker:w.w_index ~start_s:job.j_received ~dur_ms:latency_ms
+           ~worker:w ~start_s:job.j_received ~dur_ms:latency_ms
            ~queue_ms ~events:(Obs.events job.j_obs))
     | _ -> ())
   | None -> ());
@@ -863,15 +688,14 @@ let handle_job t w job =
          ("result", result);
          ( "server",
            Sjson.Object
-             (("worker", Sjson.Int w.w_index)
+             (("worker", Sjson.Int w)
              :: ("queue_ms", Sjson.Float queue_ms)
              :: ("latency_ms", Sjson.Float latency_ms)
              :: extra) ) ])
 
-let worker_loop t i =
-  let w = { w_index = i; w_warm = None; w_session = No_session } in
+let worker_loop t w =
   let rec go () =
-    match take_job t i with
+    match take_job t w with
     | None -> ()
     | Some job ->
       handle_job t w job;
@@ -1072,27 +896,12 @@ let start ~repo ?(config = default_config) ~socket () =
   | () ->
     Unix.listen listen_fd 64;
     let workers = max 1 config.workers in
-    let roots =
-      (match config.session_roots with
-      | [] ->
-        List.filter_map
-          (fun (p : Pkg.Package.t) ->
-            if Pkg.Repo.is_virtual repo p.Pkg.Package.name then None
-            else Some p.Pkg.Package.name)
-          (Pkg.Repo.packages repo)
-      | rs -> rs)
-      |> List.sort_uniq String.compare
-    in
-    let roots_set = Hashtbl.create 64 in
-    List.iter (fun r -> Hashtbl.replace roots_set r ()) roots;
     let reuse = config.options.Concretizer.reuse in
     let t =
       { repo;
         config;
         sock_path = socket;
         listen_fd;
-        roots;
-        roots_set;
         mu = Mutex.create ();
         nonempty = Condition.create ();
         queues = Array.init workers (fun _ -> Queue.create ());
@@ -1104,10 +913,9 @@ let start ~repo ?(config = default_config) ~socket () =
         pool_mu = Mutex.create ();
         reuse;
         pool = Encode.pool_of_specs reuse;
-        digest = pool_digest reuse;
+        digest = Concretizer.Warm.pool_digest reuse;
         generation = 0;
         closures = Hashtbl.create 64;
-        idle_tokens = Atomic.make (max 0 (workers - 1));
         started_s = Obs.Clock.now_s ();
         rid_counter = Atomic.make 0;
         live = Option.map make_live config.telemetry;
@@ -1275,14 +1083,9 @@ module Client = struct
     in
     go 0 (Error "no attempt made")
 
-  let mode_field = function Session -> "session" | Fresh -> "fresh"
-
-  let solve ?mode ?deadline_ms ?conflicts ?(boom = false) ?rid c spec =
+  let solve ?deadline_ms ?conflicts ?(boom = false) ?rid c spec =
     let fields =
       [ ("op", Sjson.String "solve"); ("spec", Sjson.String spec) ]
-      @ (match mode with
-        | Some m -> [ ("mode", Sjson.String (mode_field m)) ]
-        | None -> [])
       @ (match deadline_ms with
         | Some ms -> [ ("deadline_ms", Sjson.Float ms) ]
         | None -> [])

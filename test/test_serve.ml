@@ -1,18 +1,16 @@
 (* spackml serve, end to end over real Unix sockets: replay
    equivalence and fault injection.
 
-   - fresh-mode replay: a trace of mixed requests hammered over
-     concurrent client domains gets canonical result objects
-     byte-identical to one-shot [concretize_v] runs on the same fuzz
-     universe;
-   - session-mode replay: warm-session responses agree with fresh
-     solves on status and optimal costs, and the server-side Verify
-     pass is clean (zero violations recorded in the Obs registry);
+   - replay: a trace of mixed requests hammered over concurrent client
+     domains gets canonical result objects byte-identical to one-shot
+     [concretize_v] runs on the same fuzz universe;
    - faults: malformed/oversized/truncated frames, client disconnect
      mid-request, injected worker exceptions, buildcache digest change
      mid-stream, queue overload, queue-expired deadlines, shutdown
-     with a full queue — the server answers everything it admits,
-     evicts stale state, and never wedges;
+     with a full queue, a flood of unknown roots — the server answers
+     everything it admits, evicts stale state, keeps its caches
+     bounded, and never wedges;
+   - wire compatibility: fields older clients still send are ignored;
    - telemetry: request ids assigned/echoed, the stats window block,
      and flight-recorder retrieval of a missed deadline by rid. *)
 
@@ -99,19 +97,6 @@ let one_shot ~repo ~opts r =
         ("message", Sjson.String ("parse error: " ^ e)) ]
   | req -> Serve.canonical_of_result (CC.concretize_v ~repo ~options:opts [ req ])
 
-let costs_of_result result =
-  match Sjson.member_opt "costs" result with
-  | Some (Sjson.Array l) ->
-    List.map
-      (function
-        | Sjson.Array [ Sjson.Int p; Sjson.Int c ] -> (p, c)
-        | _ -> Alcotest.fail "malformed cost pair")
-      l
-  | _ -> Alcotest.fail "ok result without costs"
-
-let pp_costs cs =
-  String.concat "," (List.map (fun (p, c) -> Printf.sprintf "%d@%d" c p) cs)
-
 (* Replay [requests] over [clients] concurrent client domains, one
    connection per domain, collecting the response for each index. *)
 let replay t requests clients =
@@ -130,7 +115,7 @@ let replay t requests clients =
   List.iter Domain.join doms;
   got
 
-(* ---- 1. fresh-mode replay: byte-identity with one-shot solves ---- *)
+(* ---- 1. replay: byte-identity with one-shot solves ---- *)
 
 let test_fresh_replay () =
   let u, repo = universe 42 in
@@ -139,7 +124,6 @@ let test_fresh_replay () =
   let config =
     { Serve.default_config with
       Serve.workers = 4;
-      default_mode = Serve.Fresh;
       options = opts }
   in
   let requests = Array.of_list (trace u) in
@@ -157,51 +141,7 @@ let test_fresh_replay () =
         (Sjson.to_string (result_of got.(i))))
     expected
 
-(* ---- 2. session-mode replay: cost parity + Verify-clean ---- *)
-
-let test_session_replay () =
-  let u, repo = universe 1234 in
-  let reuse = pool_of ~repo u in
-  let obs = Obs.create () in
-  (* Verify runs inside the server on every decoded solution; a single
-     violation anywhere in the replay trips the counter below. *)
-  let opts = { (options ~reuse ()) with CC.verify = true; obs } in
-  let config =
-    { Serve.default_config with
-      Serve.workers = 2;
-      default_mode = Serve.Session;
-      options = opts }
-  in
-  let local_opts = options ~reuse () in
-  let requests = Array.of_list (trace u) in
-  with_server ~repo ~config @@ fun t ->
-  let got = replay t requests 2 in
-  Array.iteri
-    (fun i r ->
-      let resp = got.(i) in
-      match one_shot ~repo ~opts:local_opts r with
-      | Sjson.Object (("status", Sjson.String "ok") :: _) as fresh ->
-        Alcotest.(check string)
-          (Printf.sprintf "request %d (%s) solved" i r)
-          "ok" (status_of resp);
-        let sc = costs_of_result (result_of resp) in
-        let fc = costs_of_result fresh in
-        if sc <> fc then
-          Alcotest.failf "request %d (%s): session costs %s, fresh costs %s" i
-            r (pp_costs sc) (pp_costs fc)
-      | fresh ->
-        (* fresh failed: the server must report the same status *)
-        Alcotest.(check string)
-          (Printf.sprintf "request %d (%s) failure status" i r)
-          (Sjson.get_string (Sjson.member "status" fresh))
-          (status_of resp))
-    requests;
-  Alcotest.(check int) "server-side Verify clean across the whole replay" 0
-    (counter obs "concretize.verify_violations");
-  Alcotest.(check bool) "warm sessions actually served" true
-    (counter obs "serve.session_builds" >= 1)
-
-(* ---- 3. frame-level faults ---- *)
+(* ---- 2. frame-level faults ---- *)
 
 let frame_header len =
   let b = Bytes.create 4 in
@@ -301,7 +241,7 @@ let test_bad_frames () =
   Alcotest.(check string) "server healthy after frame faults" "ok"
     (status_of (ok (Client.ping c)))
 
-(* ---- 4. client disconnect mid-request ---- *)
+(* ---- 3. client disconnect mid-request ---- *)
 
 let test_disconnect_mid_request () =
   let u, repo = universe 42 in
@@ -332,12 +272,12 @@ let test_disconnect_mid_request () =
   with_client t @@ fun c ->
   let expected = Sjson.to_string (one_shot ~repo ~opts r) in
   for _ = 1 to 3 do
-    let resp = ok (Client.solve ~mode:Serve.Fresh c r) in
+    let resp = ok (Client.solve c r) in
     Alcotest.(check string) "served correctly after disconnects" expected
       (Sjson.to_string (result_of resp))
   done
 
-(* ---- 5. worker exception mid-solve ---- *)
+(* ---- 4. worker exception mid-solve ---- *)
 
 let test_worker_fault () =
   let u, repo = universe 42 in
@@ -370,11 +310,11 @@ let test_worker_fault () =
   Alcotest.(check int) "fault counted" 1 (counter obs "serve.worker_faults");
   (* The domain survived: the very same worker keeps solving. *)
   let expected = Sjson.to_string (one_shot ~repo ~opts:(options ()) r) in
-  let resp = ok (Client.solve ~mode:Serve.Fresh c r) in
+  let resp = ok (Client.solve c r) in
   Alcotest.(check string) "worker alive after fault" expected
     (Sjson.to_string (result_of resp))
 
-(* ---- 6. buildcache digest change mid-stream ---- *)
+(* ---- 5. buildcache digest change mid-stream ---- *)
 
 let known_request ~repo (u : Fuzz.Gen.t) =
   match
@@ -397,26 +337,17 @@ let test_reuse_eviction () =
   let obs = Obs.create () in
   let opts = { (options ~reuse:[] ()) with CC.obs } in
   let config =
-    { Serve.default_config with
-      Serve.workers = 1;
-      default_mode = Serve.Session;
-      options = opts }
+    { Serve.default_config with Serve.workers = 1; options = opts }
   in
   let r = known_request ~repo u in
   let server_gen resp =
     Sjson.get_int (Sjson.member "generation" (Sjson.member "server" resp))
   in
   let check_against reuse resp label =
-    match one_shot ~repo ~opts:(options ~reuse ()) r with
-    | Sjson.Object (("status", Sjson.String "ok") :: _) as fresh ->
-      Alcotest.(check string) (label ^ ": status") "ok" (status_of resp);
-      Alcotest.(check string) (label ^ ": optimal costs")
-        (pp_costs (costs_of_result fresh))
-        (pp_costs (costs_of_result (result_of resp)))
-    | fresh ->
-      Alcotest.(check string) (label ^ ": failure status")
-        (Sjson.get_string (Sjson.member "status" fresh))
-        (status_of resp)
+    Alcotest.(check string)
+      (label ^ ": byte-identical to one-shot")
+      (Sjson.to_string (one_shot ~repo ~opts:(options ~reuse ()) r))
+      (Sjson.to_string (result_of resp))
   in
   with_server ~repo ~config @@ fun t ->
   with_client t @@ fun c ->
@@ -424,21 +355,22 @@ let test_reuse_eviction () =
   let resp = ok (Client.solve c r) in
   Alcotest.(check int) "first solve at generation 0" 0 (server_gen resp);
   check_against [] resp "generation 0";
+  await_counter obs "serve.closure_misses" 1;
+  let misses = counter obs "serve.closure_misses" in
   (* swap the buildcache under the running server *)
   Alcotest.(check bool) "digest change detected" true (Serve.set_reuse t pool);
   Alcotest.(check int) "generation bumped" 1 (Serve.generation t);
   Alcotest.(check int) "eviction counted" 1 (counter obs "serve.evictions");
-  (* the next request sees the new pool through a rebuilt session *)
+  (* the next request sees the new pool through a recomputed closure *)
   let resp = ok (Client.solve c r) in
   Alcotest.(check int) "served at generation 1" 1 (server_gen resp);
   check_against pool resp "generation 1";
-  Alcotest.(check bool) "session rebuilt after eviction" true
-    (counter obs "serve.session_builds" >= 2);
+  await_counter obs "serve.closure_misses" (misses + 1);
   (* same digest again: a no-op, nothing evicted *)
   Alcotest.(check bool) "same digest is a no-op" false (Serve.set_reuse t pool);
   Alcotest.(check int) "generation unchanged" 1 (Serve.generation t)
 
-(* ---- 7. reload op ---- *)
+(* ---- 6. reload op ---- *)
 
 let test_reload () =
   let u, repo = universe 42 in
@@ -460,7 +392,7 @@ let test_reload () =
   Alcotest.(check bool) "second reload is a no-op" false
     (Sjson.get_bool (Sjson.member "changed" (result_of resp)))
 
-(* ---- 8. overload admission ---- *)
+(* ---- 7. overload admission ---- *)
 
 let test_overload () =
   let u, repo = universe 42 in
@@ -468,7 +400,6 @@ let test_overload () =
     { Serve.default_config with
       Serve.workers = 1;
       max_queue = 2;
-      default_mode = Serve.Fresh;
       options = options () }
   in
   let r = List.hd u.Fuzz.Gen.u_requests in
@@ -508,7 +439,7 @@ let test_overload () =
   Alcotest.(check string) "server healthy after the burst" "ok"
     (status_of (ok (Client.ping c)))
 
-(* ---- 9. deadlines ---- *)
+(* ---- 8. deadlines ---- *)
 
 let test_deadline () =
   let u, repo = universe 42 in
@@ -526,21 +457,20 @@ let test_deadline () =
   Alcotest.(check string) "canonical timeout result"
     {|{"status":"timeout"}|}
     (Sjson.to_string (result_of resp));
-  (* The session/worker is untouched: the same request without a
-     deadline solves normally. *)
+  (* The worker is untouched: the same request without a deadline
+     solves normally. *)
   let expected = Sjson.to_string (one_shot ~repo ~opts:(options ()) r) in
-  let resp = ok (Client.solve ~mode:Serve.Fresh c r) in
+  let resp = ok (Client.solve c r) in
   Alcotest.(check string) "worker reusable after timeout" expected
     (Sjson.to_string (result_of resp))
 
-(* ---- 10. shutdown drains the queue ---- *)
+(* ---- 9. shutdown drains the queue ---- *)
 
 let test_shutdown_drains () =
   let u, repo = universe 42 in
   let config =
     { Serve.default_config with
       Serve.workers = 2;
-      default_mode = Serve.Fresh;
       options = options () }
   in
   let r = List.hd u.Fuzz.Gen.u_requests in
@@ -584,7 +514,71 @@ let test_shutdown_drains () =
     (* returns only once the workers drained and exited *)
     Serve.wait t
 
-(* ---- 11. client auto-reconnect and overload retry ---- *)
+(* ---- 10. unknown roots stay out of the closure cache ---- *)
+
+let cached_closures c =
+  Sjson.get_int (Sjson.member "closures" (result_of (ok (Client.stats c))))
+
+let test_unknown_roots () =
+  let u, repo = universe 42 in
+  let obs = Obs.create () in
+  let opts = options ~reuse:(pool_of ~repo u) () in
+  let config =
+    { Serve.default_config with
+      Serve.workers = 1;
+      options = { opts with CC.obs } }
+  in
+  let r = known_request ~repo u in
+  with_server ~repo ~config @@ fun t ->
+  with_client t @@ fun c ->
+  ignore (ok (Client.solve c r));
+  await_counter obs "serve.closure_misses" 1;
+  let before = cached_closures c in
+  Alcotest.(check int) "a known root's closure is cached" 1 before;
+  (* Each distinct name would have been a new cache key: the client
+     controls the key, so only roots the repo knows may be cached. *)
+  for i = 0 to 199 do
+    let spec = Printf.sprintf "nosuchpkg%d" i in
+    Alcotest.(check bool) (spec ^ " unknown to the repo") false
+      (Pkg.Repo.mem repo spec || Pkg.Repo.is_virtual repo spec);
+    Alcotest.(check string)
+      (spec ^ " byte-identical to one-shot")
+      (Sjson.to_string (one_shot ~repo ~opts spec))
+      (Sjson.to_string (result_of (ok (Client.solve c spec))))
+  done;
+  Alcotest.(check int) "unknown roots computed no closure" 1
+    (counter obs "serve.closure_misses");
+  Alcotest.(check int) "unknown roots cached no closure" before
+    (cached_closures c)
+
+(* ---- 11. wire compatibility: retired request fields ---- *)
+
+let test_retired_fields () =
+  let u, repo = universe 42 in
+  let opts = options ~reuse:(pool_of ~repo u) () in
+  let config =
+    { Serve.default_config with Serve.workers = 1; options = opts }
+  in
+  let r = known_request ~repo u in
+  with_server ~repo ~config @@ fun t ->
+  with_client t @@ fun c ->
+  (* "mode" and "portfolio" once selected a warm session and a racing
+     width; the server now ignores both and answers the one-shot
+     result. *)
+  ok
+    (Client.send c
+       (Sjson.Object
+          [ ("id", Sjson.Int 1);
+            ("op", Sjson.String "solve");
+            ("spec", Sjson.String r);
+            ("mode", Sjson.String "session");
+            ("portfolio", Sjson.Int 4) ]));
+  let resp = ok (Client.recv c) in
+  Alcotest.(check string) "old fields: byte-identical to one-shot"
+    (Sjson.to_string (one_shot ~repo ~opts r))
+    (Sjson.to_string (result_of resp))
+
+(* ---- 12. client auto-reconnect and overload retry ---- *)
 
 (* A hand-rolled fake server: lets the test script exact connection
    lifetimes and responses that the real server would only produce
@@ -672,7 +666,7 @@ let test_client_overload_retry () =
     (status_of (ok (Client.ping c)));
   Client.close c
 
-(* ---- 12. live telemetry: rids, windowed stats, flight recorder ---- *)
+(* ---- 13. live telemetry: rids, windowed stats, flight recorder ---- *)
 
 let json_num = function
   | Sjson.Int n -> float_of_int n
@@ -777,9 +771,7 @@ let () =
     (* "glucose" in the replay names is the SAT core's restart policy *)
     [ ( "replay-glucose",
         [ Alcotest.test_case "fresh-mode byte replay (glucose)" `Quick
-            test_fresh_replay;
-          Alcotest.test_case "session-mode cost replay (glucose)" `Quick
-            test_session_replay ] );
+            test_fresh_replay ] );
       ( "faults",
         [ Alcotest.test_case "frame faults" `Quick test_bad_frames;
           Alcotest.test_case "disconnect mid-request" `Quick
@@ -792,7 +784,12 @@ let () =
           Alcotest.test_case "overload admission" `Quick test_overload;
           Alcotest.test_case "queue-expired deadline" `Quick test_deadline;
           Alcotest.test_case "shutdown drains the queue" `Quick
-            test_shutdown_drains ] );
+            test_shutdown_drains;
+          Alcotest.test_case "unknown roots are not cached" `Quick
+            test_unknown_roots ] );
+      ( "wire",
+        [ Alcotest.test_case "retired mode/portfolio fields ignored" `Quick
+            test_retired_fields ] );
       ( "client",
         [ Alcotest.test_case "auto-reconnect resends after disconnect"
             `Quick test_client_reconnect;
