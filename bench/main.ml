@@ -642,6 +642,89 @@ let ground_smoke () =
   Printf.printf "[ground-smoke] gates passed (delta %.1fx, cache %.1fx)\n%!"
     delta_speedup cache_speedup
 
+(* The stable-model machinery per request, on the concretize-public
+   workload of perfbench: the 2834 verifiable specs of the 5000-node
+   public-cache stand-in, pruned, every RADIUSS objective, the
+   MPI-dependent ones as [<root> ^mpiabi] with splicing. Per request:
+   the positive-loop part of the ground program (from the
+   [logic.translate] span), the candidate models checked, the loop
+   clauses added, and the time in the stability check
+   ([logic.unfounded] spans) against the whole solve phase. *)
+let stable_model_rows () =
+  let public, synthetic =
+    Radiuss.Caches.public_scaled ~repo ~configs:3 ~target_nodes:5000 ()
+  in
+  let pool =
+    List.filter
+      (fun s -> Core.Verify.check_solution ~repo s = [])
+      (Radiuss.Caches.reusable_specs public @ synthetic)
+  in
+  Printf.printf "stable-model machinery (%d-spec public pool, pruned):\n%!"
+    (List.length pool);
+  let ms ns = Int64.to_float ns /. 1e6 in
+  let rows =
+    List.filter_map
+      (fun root ->
+        let splicing = List.mem root Radiuss.Universe.mpi_dependent in
+        let text = if splicing then root ^ " ^mpiabi" else root in
+        let obs = Obs.create () in
+        let options =
+          { Core.Concretizer.default_options with
+            Core.Concretizer.reuse = pool;
+            splicing;
+            obs }
+        in
+        match
+          Core.Concretizer.concretize_v ~repo ~options
+            [ Core.Encode.request_of_string text ]
+        with
+        | Error f ->
+          Printf.printf "ablate: %s: %s\n" text f.Core.Concretizer.f_message;
+          None
+        | Ok o ->
+          let attrs = ref [] and check_ns = ref 0L and solve_ns = ref 0L in
+          let loop_clauses = ref 0 in
+          List.iter
+            (function
+              | Obs.Span { name = "logic.translate"; attrs = a; _ } -> attrs := a
+              | Obs.Span { name = "logic.unfounded"; dur_ns; attrs = a; _ } ->
+                (match List.assoc_opt "loop_clauses" a with
+                | Some (Obs.I k) -> loop_clauses := !loop_clauses + k
+                | _ -> ());
+                check_ns := Int64.add !check_ns dur_ns
+              | Obs.Span { name = "solve"; dur_ns; _ } ->
+                solve_ns := Int64.add !solve_ns dur_ns
+              | _ -> ())
+            (Obs.events obs);
+          let attr k =
+            match List.assoc_opt k !attrs with Some (Obs.I n) -> n | _ -> 0
+          in
+          let s = o.Core.Concretizer.stats in
+          let loop_atoms = attr "loop_atoms" in
+          Printf.printf
+            "  %-22s atoms %6d  loop atoms %5d (%4.1f%%) rules %5d sccs %d  \
+             checks %2d  loop clauses %d  check %6.1f ms of solve %7.1f ms\n%!"
+            text (attr "atoms") loop_atoms
+            (100. *. float_of_int loop_atoms /. float_of_int (max 1 (attr "atoms")))
+            (attr "loop_rules") (attr "loop_sccs") s.Core.Concretizer.stable_checks
+            !loop_clauses (ms !check_ns) (ms !solve_ns);
+          Some (loop_atoms, s.Core.Concretizer.stable_checks, !check_ns, !solve_ns))
+      Radiuss.Universe.top_level
+  in
+  let n = List.length rows in
+  let sum f = List.fold_left (fun a r -> a + f r) 0 rows in
+  let sum64 f = List.fold_left (fun a r -> Int64.add a (f r)) 0L rows in
+  let check = ms (sum64 (fun (_, _, c, _) -> c)) in
+  let solve = ms (sum64 (fun (_, _, _, s) -> s)) in
+  Printf.printf
+    "stable-model machinery: %d requests, %d tight, %.1f checks per request; \
+     check %.1f ms of solve %.1f ms (%.1f%%)\n"
+    n
+    (List.length (List.filter (fun (l, _, _, _) -> l = 0) rows))
+    (float_of_int (sum (fun (_, c, _, _) -> c)) /. float_of_int (max 1 n))
+    check solve
+    (100. *. check /. Float.max solve 1e-9)
+
 (* Ablations over the design choices DESIGN.md calls out. *)
 let ablate () =
   Printf.printf "\n=== Ablations ===\n";
@@ -658,15 +741,7 @@ let ablate () =
           s.Core.Concretizer.ground_rules
       | Error e -> Printf.printf "ablate: %s\n" e)
     [ ("old", Core.Encode.Old); ("hash_attr", Core.Encode.Hash_attr) ];
-  (match
-     concretize ~splicing:true ~pool [ Core.Encode.request_of_string "mfem ^mpiabi" ]
-   with
-  | Ok o ->
-    let s = o.Core.Concretizer.stats in
-    Printf.printf
-      "stable-model machinery: %d candidate models checked during optimization\n"
-      s.Core.Concretizer.stable_checks
-  | Error e -> Printf.printf "ablate: %s\n" e);
+  stable_model_rows ();
   let control = Radiuss.Universe.no_mpi_control in
   let t_off =
     timed_reps (fun () ->

@@ -735,9 +735,11 @@ let fuzz_cmd =
   in
   let inject =
     Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"FAULT"
-        ~doc:"Inject a known solver bug ($(b,pb) drops pseudo-boolean \
-              constraints, $(b,unfounded) skips stability checks) to \
-              demonstrate that the oracles catch it.")
+        ~doc:"Inject a known solver bug: $(b,pb) drops pseudo-boolean \
+              constraints, which the oracles catch. $(b,unfounded) skips \
+              stability checks, which the generated universes do not \
+              expose (their answers do not change); the brute-force \
+              stable-model property of the ASP tests is its oracle.")
   in
   let verbose =
     Arg.(value & flag & info [ "verbose" ] ~doc:"Log progress per round.")

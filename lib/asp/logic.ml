@@ -30,6 +30,61 @@ module type S = sig
   val enumerate : ?limit:int -> Ground.t -> model list
 end
 
+(* The atoms in non-trivial SCCs of the positive dependency graph
+   (edges run from every head, choice elements included, to each
+   positive body atom; a self-loop is non-trivial), and the number of
+   such SCCs. Tarjan's algorithm over an explicit stack of frames, so
+   the OCaml stack stays flat whatever the atom count. A closed atom's
+   index becomes [max_int], which leaves every later [low] unchanged. *)
+let loop_components n rules =
+  let succ = Array.make n [] in
+  let edges (r : Ground.grule) h = List.iter (fun p -> succ.(h) <- p :: succ.(h)) r.gpos in
+  List.iter
+    (fun (r : Ground.grule) ->
+      match r.ghead with
+      | Ground.Gconstraint -> ()
+      | Ground.Gatom h -> edges r h
+      | Ground.Gchoice { gelems; _ } -> List.iter (edges r) gelems)
+    rules;
+  let index = Array.make n (-1) and low = Array.make n 0 in
+  let in_loop = Array.make n false and sccs = ref 0 in
+  let next = ref 0 and stack = ref [] and frames = ref [] in
+  let visit v =
+    index.(v) <- !next;
+    low.(v) <- !next;
+    incr next;
+    stack := v :: !stack;
+    frames := (v, ref succ.(v)) :: !frames
+  in
+  let rec close v acc =
+    match !stack with
+    | [] -> acc
+    | w :: rest ->
+      stack := rest;
+      index.(w) <- max_int;
+      if w = v then w :: acc else close v (w :: acc)
+  in
+  for root = 0 to n - 1 do
+    if index.(root) < 0 then visit root;
+    while !frames <> [] do
+      let v, todo = List.hd !frames in
+      match !todo with
+      | w :: rest ->
+        todo := rest;
+        if index.(w) < 0 then visit w else low.(v) <- min low.(v) index.(w)
+      | [] -> (
+        frames := List.tl !frames;
+        (match !frames with (u, _) :: _ -> low.(u) <- min low.(u) low.(v) | [] -> ());
+        if low.(v) = index.(v) then
+          match close v [] with
+          | [ w ] when not (List.mem w succ.(w)) -> ()
+          | members ->
+            incr sccs;
+            List.iter (fun w -> in_loop.(w) <- true) members)
+    done
+  done;
+  (in_loop, !sccs)
+
 (* The stable-model layer is generic over the CDCL core ([Solver_intf.S]):
    the production instance runs on the glucose-class [Sat]; [Baseline]
    runs on the pre-arena [Sat_baseline] for differential testing and
@@ -37,23 +92,27 @@ end
    from the two instances compare directly. *)
 module Make (S : Solver_intf.S) = struct
 
-(* Internal record of a rule after translation, for the stable check. *)
-type trule = {
-  t_head : thead;
-  t_pos : int list;  (* atom ids *)
-  t_neg : int list;
-  t_body_lit : int;  (* SAT literal of the body conjunction; -1 = empty body *)
+(* A rule with a head in a positive loop, kept for the stable check. *)
+type lrule = {
+  l_heads : int list;  (* the head atom, or the choice elements *)
+  l_pos : int array;  (* atom ids *)
+  l_neg : int array;
+  l_body_lit : int;  (* SAT literal of the body conjunction; -1 = empty body *)
 }
-
-and thead = T_atom of int | T_choice of int list
 
 type ctx = {
   g : Ground.t;
   sat : S.t;
   (* atom id -> SAT var (identity by construction, kept explicit) *)
   atom_var : int array;
-  trules : trule list;
-  (* supports per atom id: body vars of rules that can derive it *)
+  (* The non-tight part of the program: the atoms in non-trivial SCCs
+     of the positive dependency graph, the rules with a head among
+     them, and per atom the indexes of the loop rules with it in the
+     positive body. Every loop atom has such a rule, so a non-empty
+     [loop_watch] entry marks a loop atom. *)
+  loop_atoms : int array;
+  loop_rules : lrule array;
+  loop_watch : int array array;
   mutable stable_checks : int;
   mutable loop_clauses : int;
   obs : Obs.ctx;
@@ -95,8 +154,10 @@ let translate ?(certify = false) ?(obs = Obs.disabled) g =
   for id = 0 to n - 1 do
     if not (Ground.possible g id) then S.add_clause sat [ S.neg atom_var.(id) ]
   done;
+  let in_loop, sccs = loop_components n (Ground.rules g) in
   let ctx =
-    { g; sat; atom_var; trules = []; stable_checks = 0; loop_clauses = 0; obs }
+    { g; sat; atom_var; loop_atoms = [||]; loop_rules = [||]; loop_watch = [||];
+      stable_checks = 0; loop_clauses = 0; obs }
   in
   Obs.set_attr span "atoms" (Obs.I n);
   let body_cache = Hashtbl.create 1024 in
@@ -108,7 +169,17 @@ let translate ?(certify = false) ?(obs = Obs.disabled) g =
     | Some r -> r := l :: !r
     | None -> Hashtbl.add supports id (ref [ l ])
   in
-  let trules = ref [] in
+  let loop_rules = ref [] and nloop = ref 0 and watch = Array.make n [] in
+  let keep l_heads (r : Ground.grule) l_body_lit =
+    if List.exists (fun h -> in_loop.(h)) l_heads then begin
+      List.iter (fun p -> if in_loop.(p) then watch.(p) <- !nloop :: watch.(p)) r.gpos;
+      incr nloop;
+      loop_rules :=
+        { l_heads; l_pos = Array.of_list r.gpos; l_neg = Array.of_list r.gneg;
+          l_body_lit }
+        :: !loop_rules
+    end
+  in
   List.iter
     (fun (r : Ground.grule) ->
       match r.Ground.ghead with
@@ -118,16 +189,14 @@ let translate ?(certify = false) ?(obs = Obs.disabled) g =
         if r.gpos = [] && r.gneg = [] then begin
           S.add_clause sat [ S.pos atom_var.(h) ];
           Hashtbl.replace facts h ();
-          trules := { t_head = T_atom h; t_pos = []; t_neg = []; t_body_lit = -1 } :: !trules
+          keep [ h ] r (-1)
         end
         else begin
           let b = make_body_lit ctx body_cache r.gpos r.gneg in
           (* body -> head *)
           S.add_clause sat [ S.lit_not b; S.pos atom_var.(h) ];
           add_support h b;
-          trules :=
-            { t_head = T_atom h; t_pos = r.gpos; t_neg = r.gneg; t_body_lit = b }
-            :: !trules
+          keep [ h ] r b
         end
       | Ground.Gchoice { lo; hi; gelems } ->
         let b_lit =
@@ -144,46 +213,27 @@ let translate ?(certify = false) ?(obs = Obs.disabled) g =
               Hashtbl.replace free e ()
             | Some l -> add_support e l)
           gelems;
-        trules :=
-          { t_head = T_choice gelems;
-            t_pos = r.gpos;
-            t_neg = r.gneg;
-            t_body_lit = (match b_lit with Some l -> l | None -> -1) }
-          :: !trules;
+        keep gelems r (Option.value b_lit ~default:(-1));
         let ne = List.length gelems in
-        (* Upper bound: sum of elems <= hi whenever the body holds. *)
+        (* Whenever the body holds, at most [k] of [lits] are true. *)
+        let at_most lits k =
+          if k < 0 then
+            S.add_clause sat (match b_lit with None -> [] | Some l -> [ S.lit_not l ])
+          else
+            let wl = List.map (fun l -> (1, l)) lits in
+            match b_lit with
+            | None -> S.add_pb_le sat wl k
+            | Some l -> S.add_pb_le sat ((ne - k, l) :: wl) ne
+        in
+        (* Upper bound: sum of elems <= hi. Lower bound: sum of elems
+           >= lo, i.e. sum of negations <= ne - lo. *)
         (match hi with
-        | Some u when u < ne ->
-          if u < 0 then
-            (match b_lit with
-            | None -> S.add_clause sat []
-            | Some l -> S.add_clause sat [ S.lit_not l ])
-          else
-            let wl = List.map (fun e -> (1, S.pos atom_var.(e))) gelems in
-            let wl, bound =
-              match b_lit with
-              | None -> (wl, u)
-              | Some l -> ((ne - u, l) :: wl, ne)
-            in
-            S.add_pb_le sat wl bound
+        | Some u when u < ne -> at_most (List.map (fun e -> S.pos atom_var.(e)) gelems) u
         | _ -> ());
-        (* Lower bound: sum of elems >= lo, i.e. sum of negations
-           <= ne - lo, whenever the body holds. *)
-        (match lo with
+        match lo with
         | Some l0 when l0 > 0 ->
-          if l0 > ne then
-            (match b_lit with
-            | None -> S.add_clause sat []
-            | Some l -> S.add_clause sat [ S.lit_not l ])
-          else
-            let wl = List.map (fun e -> (1, S.neg atom_var.(e))) gelems in
-            let wl, bound =
-              match b_lit with
-              | None -> (wl, ne - l0)
-              | Some l -> ((l0, l) :: wl, ne)
-            in
-            S.add_pb_le sat wl bound
-        | _ -> ()))
+          at_most (List.map (fun e -> S.neg atom_var.(e)) gelems) (ne - l0)
+        | _ -> ())
     (Ground.rules g);
   (* Completion: every true atom needs some support. *)
   for id = 0 to n - 1 do
@@ -193,7 +243,14 @@ let translate ?(certify = false) ?(obs = Obs.disabled) g =
       S.add_clause sat (S.neg atom_var.(id) :: sup)
     end
   done;
-  { ctx with trules = !trules }
+  let loop_atoms = List.filter (fun id -> in_loop.(id)) (List.init n Fun.id) in
+  Obs.set_attr span "loop_atoms" (Obs.I (List.length loop_atoms));
+  Obs.set_attr span "loop_rules" (Obs.I !nloop);
+  Obs.set_attr span "loop_sccs" (Obs.I sccs);
+  { ctx with
+    loop_atoms = Array.of_list loop_atoms;
+    loop_rules = Array.of_list (List.rev !loop_rules);
+    loop_watch = Array.map Array.of_list watch }
 
 (* ----- optimization objectives ------------------------------------ *)
 
@@ -247,61 +304,54 @@ let objective_cost ctx obj =
 
 (* ----- stability check -------------------------------------------- *)
 
-(* Compute the least model of the reduct w.r.t. the candidate model and
-   return the unfounded set (true atoms without well-founded support). *)
+(* The unfounded set of the candidate model: its true atoms without
+   well-founded support. Any unfounded set contains an unfounded loop,
+   which lies inside one SCC of the positive dependency graph, so with
+   no loop atoms completion already gives stability (Fages). Otherwise
+   take the least model of the reduct over the loop rules, with atoms
+   outside the loops valued by the model: a true loop atom it misses is
+   unfounded, as every true-bodied rule for it needs another. *)
 let unfounded_set ctx =
-  let truth id = S.value ctx.sat ctx.atom_var.(id) in
-  let rules = ctx.trules in
-  (* Only rules whose negative body holds in the model survive the
-     reduct. Count outstanding positive subgoals per rule. *)
-  let live =
-    List.filter
-      (fun r -> List.for_all (fun id -> not (truth id)) r.t_neg)
-      rules
-  in
-  let derived = Hashtbl.create 256 in
-  let pending = Array.of_list live in
-  let counts = Array.map (fun r -> List.length r.t_pos) pending in
-  let rule_by_atom : (int, int list ref) Hashtbl.t = Hashtbl.create 256 in
-  Array.iteri
-    (fun i r ->
-      List.iter
-        (fun id ->
-          match Hashtbl.find_opt rule_by_atom id with
-          | Some l -> l := i :: !l
-          | None -> Hashtbl.add rule_by_atom id (ref [ i ]))
-        r.t_pos)
-    pending;
-  let queue = Queue.create () in
-  let derive id =
-    if not (Hashtbl.mem derived id) then begin
-      Hashtbl.replace derived id ();
-      Queue.add id queue
-    end
-  in
-  let fire i =
-    let r = pending.(i) in
-    match r.t_head with
-    | T_atom h -> derive h
-    | T_choice elems -> List.iter (fun e -> if truth e then derive e) elems
-  in
-  Array.iteri (fun i c -> if c = 0 then fire i) counts;
-  while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    match Hashtbl.find_opt rule_by_atom id with
-    | None -> ()
-    | Some l ->
-      List.iter
+  if ctx.loop_atoms = [||] then []
+  else begin
+    let truth id = S.value ctx.sat ctx.atom_var.(id) in
+    let in_loop id = ctx.loop_watch.(id) <> [||] in
+    let derived = Bytes.make (Array.length ctx.atom_var) '\000' in
+    let queue = Queue.create () in
+    let derive id =
+      if Bytes.get derived id = '\000' then begin
+        Bytes.set derived id '\001';
+        Queue.add id queue
+      end
+    in
+    (* A body true on the model makes its head atom true, so testing
+       truth only matters for choice elements. *)
+    let fire r = List.iter (fun h -> if truth h then derive h) r.l_heads in
+    (* Outstanding positive loop subgoals per rule; negative (never
+       fires) when the body is false outside the loops. *)
+    let counts =
+      Array.map
+        (fun r ->
+          if
+            Array.exists truth r.l_neg
+            || Array.exists (fun p -> not (in_loop p || truth p)) r.l_pos
+          then -1
+          else Array.fold_left (fun c p -> if in_loop p then c + 1 else c) 0 r.l_pos)
+        ctx.loop_rules
+    in
+    Array.iteri (fun i c -> if c = 0 then fire ctx.loop_rules.(i)) counts;
+    while not (Queue.is_empty queue) do
+      Array.iter
         (fun i ->
           counts.(i) <- counts.(i) - 1;
-          if counts.(i) = 0 then fire i)
-        !l
-  done;
-  let unfounded = ref [] in
-  for id = 0 to Ground.atom_count ctx.g - 1 do
-    if truth id && not (Hashtbl.mem derived id) then unfounded := id :: !unfounded
-  done;
-  !unfounded
+          if counts.(i) = 0 then fire ctx.loop_rules.(i))
+        ctx.loop_watch.(Queue.pop queue)
+    done;
+    Array.fold_left
+      (fun acc id ->
+        if truth id && Bytes.get derived id = '\000' then id :: acc else acc)
+      [] ctx.loop_atoms
+  end
 
 (* Cut an unfounded set. For any atom set U, if every rule that can
    derive into U needs some of U itself (no external support body is
@@ -309,22 +359,22 @@ let unfounded_set ctx =
    [not a \/ ext(U)] for each a in U are therefore globally valid — and
    the externals belong to the set as a whole, not to the individual
    atom, since internal rules may pass support around once anything in
-   U is externally established. *)
+   U is externally established. U holds loop atoms only, so every rule
+   that can derive into it is a loop rule. *)
 let add_loop_clauses ctx unfounded =
   let in_u = Hashtbl.create 16 in
   List.iter (fun id -> Hashtbl.replace in_u id ()) unfounded;
   let externals = ref [] in
-  List.iter
+  Array.iter
     (fun r ->
-      let heads = match r.t_head with T_atom h -> [ h ] | T_choice es -> es in
       if
-        List.exists (fun h -> Hashtbl.mem in_u h) heads
-        && (not (List.exists (fun p -> Hashtbl.mem in_u p) r.t_pos))
-        && r.t_body_lit >= 0
+        List.exists (fun h -> Hashtbl.mem in_u h) r.l_heads
+        && (not (Array.exists (fun p -> Hashtbl.mem in_u p) r.l_pos))
+        && r.l_body_lit >= 0
       then
-        let l = r.t_body_lit in
+        let l = r.l_body_lit in
         if not (List.mem l !externals) then externals := l :: !externals)
-    ctx.trules;
+    ctx.loop_rules;
   List.iter
     (fun a ->
       S.add_clause ctx.sat (S.neg ctx.atom_var.(a) :: !externals);
@@ -374,6 +424,14 @@ let extract_atoms ctx =
       out := Ground.atom_of_id ctx.g id :: !out
   done;
   !out
+
+(* The model loaded in the SAT core, with the check counters so far. *)
+let current_model ctx ~costs ~sat_stats =
+  { atoms = extract_atoms ctx;
+    costs;
+    sat_stats;
+    stable_checks = ctx.stable_checks;
+    loop_clauses = ctx.loop_clauses }
 
 (* Lexicographic descent: fix each priority level at its minimum before
    optimizing the next. Shared by the one-shot [solve] and incremental
@@ -468,12 +526,7 @@ let solve ?(certify = false) ?(obs = Obs.disabled) ?budget ?(portfolio = 1) g =
   match optimize ~portfolio ctx objectives ~assumptions:[] with
   | None -> Unsat (S.proof ctx.sat)
   | Some costs ->
-    Sat
-      { atoms = extract_atoms ctx;
-        costs;
-        sat_stats = S.stats ctx.sat;
-        stable_checks = ctx.stable_checks;
-        loop_clauses = ctx.loop_clauses }
+    Sat (current_model ctx ~costs ~sat_stats:(S.stats ctx.sat))
 
 (* ----- incremental sessions --------------------------------------- *)
 
@@ -525,12 +578,7 @@ let session_solve s ~assume =
       let delta = S.stats_delta ~before ctx.sat in
       if Obs.enabled ctx.obs then
         List.iter (fun (k, v) -> Obs.set_attr span k (Obs.I v)) delta;
-      Sat
-        { atoms = extract_atoms ctx;
-          costs;
-          sat_stats = delta;
-          stable_checks = ctx.stable_checks;
-          loop_clauses = ctx.loop_clauses })
+      Sat (current_model ctx ~costs ~sat_stats:delta))
 
 let holds m a = List.exists (fun a' -> a' = a) m.atoms
 
@@ -540,14 +588,7 @@ let enumerate ?(limit = 64) g =
   let continue_search = ref true in
   while !continue_search && List.length !models < limit do
     if solve_stable ctx ~assumptions:[] then begin
-      let atoms = extract_atoms ctx in
-      models :=
-        { atoms;
-          costs = [];
-          sat_stats = S.stats ctx.sat;
-          stable_checks = ctx.stable_checks;
-          loop_clauses = ctx.loop_clauses }
-        :: !models;
+      models := current_model ctx ~costs:[] ~sat_stats:(S.stats ctx.sat) :: !models;
       (* Block this exact assignment over the atom variables. *)
       let blocking =
         List.concat

@@ -5,9 +5,12 @@
     forcing them), integrity constraints as clauses, and cardinality
     bounds as pseudo-Boolean constraints. Because completion admits
     self-supporting loops, every candidate model is checked for
-    unfounded sets (computing the least model of the reduct); unfounded
-    sets are cut with loop clauses and the search resumes — sound and
-    complete stable-model semantics without upfront loop enumeration.
+    unfounded sets; unfounded sets are cut with loop clauses and the
+    search resumes — sound and complete stable-model semantics without
+    upfront loop enumeration. Translation finds the non-trivial SCCs of
+    the positive dependency graph, and the check computes the least
+    model of the reduct over the rules of those loops only; a program
+    without them is tight and needs no check.
 
     [#minimize] objectives are optimized lexicographically (higher
     priority first) by branch-and-bound descent with activation
@@ -37,15 +40,18 @@ type outcome = Sat of model | Unsat of Sat.proof_step list option
 
 val hook_skip_unfounded : bool ref
 (** Fault injection for the fuzz harness: when [true], the unfounded-set
-    check is skipped, so non-stable SAT models are accepted. Always
-    reset after use. Shared by all solver instances. *)
+    check is skipped, so non-stable SAT models are accepted; only
+    programs with positive loops can show it. Always reset after use.
+    Shared by all solver instances. *)
 
 (** Operations provided by every solver instantiation. *)
 module type S = sig
   val solve :
     ?certify:bool -> ?obs:Obs.ctx -> ?budget:Solver_intf.budget ->
     ?portfolio:int -> Ground.t -> outcome
-  (** [?obs] records a translate span, per-SAT-call [sat.solve] spans
+  (** [?obs] records a translate span (with the positive-loop size:
+      [loop_atoms], [loop_rules], [loop_sccs]), per-SAT-call
+      [sat.solve] spans
       with stats deltas, per-optimization [opt.probe] spans (priority,
       bound, outcome), stable-check counters, and the SAT core's
       per-restart histograms. [?budget] installs a preemption budget on

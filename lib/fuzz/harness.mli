@@ -8,7 +8,11 @@
 
 type injection =
   | Drop_pb  (** make [Asp.Sat.add_pb_le] a no-op *)
-  | Skip_unfounded  (** skip [Asp.Logic]'s stability check *)
+  | Skip_unfounded
+      (** skip [Asp.Logic]'s stability check. The generated concretizer
+          universes do not expose it: their answers do not change. Its
+          oracle is the brute-force stable-model property in
+          [test/test_asp.ml]. *)
 
 val injection_of_string : string -> injection option
 

@@ -110,6 +110,46 @@ let test_loop_with_external_support () =
   Alcotest.(check int) "a disabled ctx records nothing" 0
     (List.length (Obs.events Obs.disabled))
 
+(* The integer attributes of the [logic.translate] span, and the loop
+   clauses of a traced solve. *)
+let translate_attrs program =
+  let obs = Obs.create () in
+  let loop_clauses =
+    match Asp.Logic.solve ~obs (Asp.Ground.ground (Asp.parse program)) with
+    | Asp.Logic.Sat m -> m.Asp.Logic.loop_clauses
+    | Asp.Logic.Unsat _ -> Alcotest.fail "expected SAT"
+  in
+  let attrs =
+    List.find_map
+      (function
+        | Obs.Span { name = "logic.translate"; attrs; _ } -> Some attrs
+        | _ -> None)
+      (Obs.events obs)
+  in
+  let attr k =
+    match Option.bind attrs (List.assoc_opt k) with
+    | Some (Obs.I n) -> n
+    | _ -> Alcotest.fail ("logic.translate span without " ^ k)
+  in
+  (attr, loop_clauses)
+
+let test_tight_program () =
+  let attr, loop_clauses = translate_attrs "a. b :- a. c :- b, not d." in
+  Alcotest.(check int) "no loop atoms" 0 (attr "loop_atoms");
+  Alcotest.(check int) "no loop rules" 0 (attr "loop_rules");
+  Alcotest.(check int) "no loop SCCs" 0 (attr "loop_sccs");
+  Alcotest.(check int) "no loop clauses" 0 loop_clauses;
+  let attr, _ = translate_attrs "{b}. a :- a. a :- b." in
+  Alcotest.(check int) "a self-loop is a loop" 1 (attr "loop_atoms");
+  Alcotest.(check int) "both rules for a are loop rules" 2 (attr "loop_rules")
+
+let test_loop_span () =
+  let attr, loop_clauses = translate_attrs "{c}. a :- b. b :- a. a :- c. :- not b." in
+  Alcotest.(check int) "a and b form the loop" 2 (attr "loop_atoms");
+  Alcotest.(check int) "the three rules for a and b" 3 (attr "loop_rules");
+  Alcotest.(check int) "one loop SCC" 1 (attr "loop_sccs");
+  Alcotest.(check bool) "the loop still needs loop clauses" true (loop_clauses > 0)
+
 let test_odd_loop () =
   Alcotest.(check bool) "a :- not a is unsat" true (is_unsat (solve "a :- not a."))
 
@@ -167,20 +207,26 @@ let test_show_ignored () =
 
 (* ---- enumeration ---- *)
 
+(* Every stable model of a propositional program, as sorted
+   comma-separated atom lists. *)
+let model_keys program =
+  Asp.Logic.enumerate (Asp.Ground.ground (Asp.parse program))
+  |> List.map (fun (m : Asp.Logic.model) ->
+         List.map (fun (a : Asp.Ast.atom) -> a.Asp.Ast.pred) m.Asp.Logic.atoms
+         |> List.sort String.compare |> String.concat ",")
+  |> List.sort String.compare
+
 let test_enumerate_all () =
-  let g = Asp.Ground.ground (Asp.parse "{a; b}. :- a, b.") in
-  let models = Asp.Logic.enumerate g in
   (* {}, {a}, {b} *)
-  Alcotest.(check int) "three models" 3 (List.length models);
-  let keys =
-    List.map
-      (fun (m : Asp.Logic.model) ->
-        List.map (fun (a : Asp.Ast.atom) -> a.Asp.Ast.pred) m.Asp.Logic.atoms
-        |> List.sort String.compare |> String.concat ",")
-      models
-    |> List.sort String.compare
-  in
-  Alcotest.(check (list string)) "the right models" [ ""; "a"; "b" ] keys
+  Alcotest.(check (list string)) "the right models" [ ""; "a"; "b" ]
+    (model_keys "{a; b}. :- a, b.")
+
+(* A choice element left false supports nothing, even inside a loop:
+   {a0, d, f} satisfies the completion (d and f hold each other up)
+   but is not stable. *)
+let test_false_choice_element () =
+  Alcotest.(check (list string)) "the right models" [ "a0"; "a0,c,d,f" ]
+    (model_keys "a0. {c} :- a0. c :- c. d :- c. d :- f. f :- d.")
 
 let test_enumerate_limit () =
   let g = Asp.Ground.ground (Asp.parse "{a; b; c}.") in
@@ -205,7 +251,11 @@ let test_negative_literal_on_impossible_atom () =
 
 (* ---- brute-force stable-model fuzz ---- *)
 
-let brute_stable nvars choice_elems rules constraints =
+(* A generated program: [nvars] atoms a0..a(nvars-1), an unconditional
+   choice over [choice_elems], conditional choice rules
+   [{ elems } :- pos, not neg], normal rules [h :- pos, not neg] and
+   integrity constraints. *)
+let brute_stable (nvars, choice_elems, cchoices, rules, constraints) =
   let models = ref [] in
   for mask = 0 to (1 lsl nvars) - 1 do
     let truth a = mask land (1 lsl a) <> 0 in
@@ -215,38 +265,45 @@ let brute_stable nvars choice_elems rules constraints =
     if List.for_all (fun b -> not (body_sat b)) constraints then begin
       let derived = Array.make nvars false in
       let changed = ref true in
+      (* A rule of the reduct fires once its positive body is derived
+         and its negative body is false in the candidate; a choice
+         element is derived only if it is also true in the candidate. *)
+      let fires pos neg =
+        List.for_all (fun p -> derived.(p)) pos
+        && List.for_all (fun a -> not (truth a)) neg
+      in
+      let derive e =
+        if not derived.(e) then begin
+          derived.(e) <- true;
+          changed := true
+        end
+      in
       while !changed do
         changed := false;
+        List.iter (fun (h, pos, neg) -> if fires pos neg then derive h) rules;
         List.iter
-          (fun (h, pos, neg) ->
-            if
-              (not derived.(h))
-              && List.for_all (fun p -> derived.(p)) pos
-              && List.for_all (fun a -> not (truth a)) neg
-            then begin
-              derived.(h) <- true;
-              changed := true
-            end)
-          rules;
-        List.iter
-          (fun e ->
-            if truth e && not derived.(e) then begin
-              derived.(e) <- true;
-              changed := true
-            end)
-          choice_elems
+          (fun (elems, pos, neg) ->
+            if fires pos neg then List.iter (fun e -> if truth e then derive e) elems)
+          cchoices;
+        List.iter (fun e -> if truth e then derive e) choice_elems
       done;
       if List.for_all (fun a -> truth a = derived.(a)) (List.init nvars Fun.id) then
         models := mask :: !models
     end
   done;
-  !models
+  List.sort Int.compare !models
 
 let gen_program =
   QCheck.Gen.(
     let* nvars = int_range 2 5 in
     let atom = int_range 0 (nvars - 1) in
     let* nchoice = int_range 0 nvars in
+    let* cchoices =
+      list_size (int_range 0 2)
+        (triple
+           (map (List.sort_uniq Int.compare) (list_size (int_range 1 2) atom))
+           (list_size (int_range 0 2) atom) (list_size (int_range 0 1) atom))
+    in
     let* rules =
       list_size (int_range 0 8)
         (triple atom (list_size (int_range 0 2) atom) (list_size (int_range 0 2) atom))
@@ -255,51 +312,77 @@ let gen_program =
       list_size (int_range 0 2)
         (pair (list_size (int_range 1 2) atom) (list_size (int_range 0 1) atom))
     in
-    return (nvars, List.init nchoice Fun.id, rules, constraints))
+    return (nvars, List.init nchoice Fun.id, cchoices, rules, constraints))
 
-let program_text (nvars, choice_elems, rules, constraints) =
-  ignore nvars;
+let program_text (_, choice_elems, cchoices, rules, constraints) =
   let a i = Printf.sprintf "a%d" i in
+  let body pos neg = String.concat ", " (List.map a pos @ List.map (fun x -> "not " ^ a x) neg) in
+  let choice elems = Printf.sprintf "{ %s }" (String.concat " ; " (List.map a elems)) in
   let buf = Buffer.create 256 in
-  if choice_elems <> [] then
-    Buffer.add_string buf
-      (Printf.sprintf "{ %s }.\n" (String.concat " ; " (List.map a choice_elems)));
+  if choice_elems <> [] then Buffer.add_string buf (choice choice_elems ^ ".\n");
+  let rule head pos neg =
+    if pos = [] && neg = [] then Buffer.add_string buf (head ^ ".\n")
+    else Buffer.add_string buf (Printf.sprintf "%s :- %s.\n" head (body pos neg))
+  in
+  List.iter (fun (elems, pos, neg) -> rule (choice elems) pos neg) cchoices;
+  List.iter (fun (h, pos, neg) -> rule (a h) pos neg) rules;
   List.iter
-    (fun (h, pos, neg) ->
-      let body = List.map a pos @ List.map (fun x -> "not " ^ a x) neg in
-      if body = [] then Buffer.add_string buf (a h ^ ".\n")
-      else Buffer.add_string buf (Printf.sprintf "%s :- %s.\n" (a h) (String.concat ", " body)))
-    rules;
-  List.iter
-    (fun (pos, neg) ->
-      let body = List.map a pos @ List.map (fun x -> "not " ^ a x) neg in
-      Buffer.add_string buf (Printf.sprintf ":- %s.\n" (String.concat ", " body)))
+    (fun (pos, neg) -> Buffer.add_string buf (Printf.sprintf ":- %s.\n" (body pos neg)))
     constraints;
   Buffer.contents buf
 
 let arb_program = QCheck.make ~print:program_text gen_program
 
-let prop_stable_equiv =
-  QCheck.Test.make ~name:"solver agrees with brute-force stable models" ~count:400
+(* The candidate's atoms a0..a(nvars-1) as a bit mask. *)
+let mask_of nvars (m : Asp.Logic.model) =
+  List.fold_left
+    (fun acc i ->
+      if
+        List.exists
+          (fun (a : Asp.Ast.atom) ->
+            a.Asp.Ast.pred = Printf.sprintf "a%d" i && a.Asp.Ast.args = [])
+          m.Asp.Logic.atoms
+      then acc lor (1 lsl i)
+      else acc)
+    0 (List.init nvars Fun.id)
+
+let stable_equiv_cell () =
+  QCheck.Test.make_cell ~name:"solver agrees with brute-force stable models" ~count:400
     arb_program
-    (fun ((nvars, choice_elems, rules, constraints) as p) ->
-      let expected = brute_stable nvars choice_elems rules constraints in
+    (fun ((nvars, _, _, _, _) as p) ->
+      let expected = brute_stable p in
       match solve (program_text p) with
       | Asp.Logic.Unsat _ -> expected = []
-      | Asp.Logic.Sat m ->
-        let mask =
-          List.fold_left
-            (fun acc i ->
-              if
-                List.exists
-                  (fun (a : Asp.Ast.atom) ->
-                    a.Asp.Ast.pred = Printf.sprintf "a%d" i && a.Asp.Ast.args = [])
-                  m.Asp.Logic.atoms
-              then acc lor (1 lsl i)
-              else acc)
-            0 (List.init nvars Fun.id)
-        in
-        List.mem mask expected)
+      | Asp.Logic.Sat m -> List.mem (mask_of nvars m) expected)
+
+(* Membership alone would pass a check that wrongly rejects stable
+   models; enumeration must find all of them and nothing else. *)
+let enumerate_equiv_cell () =
+  QCheck.Test.make_cell
+    ~name:"enumerate finds exactly the brute-force stable models" ~count:400
+    arb_program
+    (fun ((nvars, _, _, _, _) as p) ->
+      let g = Asp.Ground.ground (Asp.parse (program_text p)) in
+      let models = Asp.Logic.enumerate ~limit:((1 lsl nvars) + 1) g in
+      List.sort Int.compare (List.map (mask_of nvars) models) = brute_stable p)
+
+(* With the stability check skipped, both properties must find a
+   counterexample: they are the oracle for that fault. *)
+let test_skip_unfounded_caught () =
+  List.iter
+    (fun cell ->
+      let result =
+        Asp.Logic.hook_skip_unfounded := true;
+        Fun.protect
+          ~finally:(fun () -> Asp.Logic.hook_skip_unfounded := false)
+          (fun () ->
+            QCheck2.Test.check_cell ~rand:(Random.State.make [| 7 |]) (cell ()))
+      in
+      Alcotest.(check bool)
+        (QCheck.Test.get_name (cell ()) ^ " catches the skipped check")
+        false
+        (QCheck.TestResult.is_success result))
+    [ stable_equiv_cell; enumerate_equiv_cell ]
 
 let () =
   Alcotest.run "asp"
@@ -312,6 +395,8 @@ let () =
           Alcotest.test_case "negation" `Quick test_negation;
           Alcotest.test_case "unfounded loop" `Quick test_positive_loop_unfounded;
           Alcotest.test_case "supported loop" `Quick test_loop_with_external_support;
+          Alcotest.test_case "tight program" `Quick test_tight_program;
+          Alcotest.test_case "loop span" `Quick test_loop_span;
           Alcotest.test_case "odd loop" `Quick test_odd_loop;
           Alcotest.test_case "choice bounds" `Quick test_choice_bounds;
           Alcotest.test_case "constraints on choice" `Quick test_constraints_on_choice;
@@ -330,6 +415,12 @@ let () =
         [ Alcotest.test_case "counts" `Quick test_grounding_counts ] );
       ( "enumeration",
         [ Alcotest.test_case "all models" `Quick test_enumerate_all;
+          Alcotest.test_case "false choice element" `Quick test_false_choice_element;
           Alcotest.test_case "limit" `Quick test_enumerate_limit;
           Alcotest.test_case "unsat" `Quick test_enumerate_unsat ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_stable_equiv ]) ]
+      ( "properties",
+        List.map
+          (fun cell -> QCheck_alcotest.to_alcotest (QCheck2.Test.Test (cell ())))
+          [ stable_equiv_cell; enumerate_equiv_cell ]
+        @ [ Alcotest.test_case "skipped stability check is caught" `Quick
+              test_skip_unfounded_caught ] ) ]
