@@ -517,38 +517,67 @@ let buildcache_cmd =
 
 (* DIMACS CNF: "c" comment lines, a "p cnf VARS CLAUSES" header, then
    clauses as whitespace-separated nonzero literals each terminated by
-   0. DIMACS variable v (1-based) maps to internal variable v-1. *)
+   0. DIMACS variable v (1-based) maps to internal variable v-1; the
+   header's VARS are all allocated, used or not, and bound every
+   literal. A "%" line ends the input (the SATLIB trailer: the "0"
+   after it is not a clause). Malformed input raises [Dimacs_error]
+   with "FILE:LINE: reason". *)
+exception Dimacs_error of string
+
 let parse_dimacs sat path =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-  let ensure_var v =
-    while Asp.Sat.nvars sat < v do ignore (Asp.Sat.new_var sat) done
+  let lineno = ref 0 and nvars = ref None and clause = ref [] in
+  let fail fmt =
+    Printf.ksprintf
+      (fun m -> raise (Dimacs_error (Printf.sprintf "%s:%d: %s" path !lineno m)))
+      fmt
   in
-  let clause = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       let line = String.trim line in
-       if line = "" || line.[0] = 'c' || line.[0] = 'p' then ()
-       else
-         String.split_on_char ' ' line
-         |> List.concat_map (String.split_on_char '\t')
-         |> List.iter (fun tok ->
-                if tok <> "" then
-                  let d = int_of_string tok in
-                  if d = 0 then begin
-                    Asp.Sat.add_clause sat (List.rev !clause);
-                    clause := []
-                  end
-                  else begin
-                    let v = abs d in
-                    ensure_var v;
-                    clause :=
-                      (if d > 0 then Asp.Sat.pos (v - 1) else Asp.Sat.neg (v - 1))
-                      :: !clause
-                  end)
-     done
-   with End_of_file -> ());
+  let header toks =
+    match (toks, !nvars) with
+    | [ "p"; "cnf"; v; c ], None -> (
+      match (int_of_string_opt v, int_of_string_opt c) with
+      | Some v, Some c when v >= 0 && c >= 0 ->
+        for _ = 1 to v do ignore (Asp.Sat.new_var sat) done;
+        nvars := Some v
+      | _ -> fail "malformed header")
+    | _ -> fail "expected one \"p cnf VARS CLAUSES\" header"
+  in
+  let literal tok =
+    match (int_of_string_opt tok, !nvars) with
+    | None, _ -> fail "malformed literal %S" tok
+    | Some _, None -> fail "clause before the p cnf header"
+    | Some 0, _ ->
+      Asp.Sat.add_clause sat (List.rev !clause);
+      clause := []
+    | Some d, Some n when abs d > n ->
+      fail "literal %d exceeds the %d variables the header declares" d n
+    | Some d, _ ->
+      let v = abs d - 1 in
+      clause := (if d > 0 then Asp.Sat.pos v else Asp.Sat.neg v) :: !clause
+  in
+  let rec lines () =
+    match input_line ic with
+    | exception End_of_file -> ()
+    | line ->
+      incr lineno;
+      let toks =
+        String.split_on_char ' ' (String.trim line)
+        |> List.concat_map (String.split_on_char '\t')
+        |> List.filter (( <> ) "")
+      in
+      (match toks with
+      | [] -> lines ()
+      | t :: _ when t.[0] = '%' -> ()
+      | t :: _ when t.[0] = 'c' -> lines ()
+      | t :: _ when t.[0] = 'p' ->
+        header toks;
+        lines ()
+      | _ ->
+        List.iter literal toks;
+        lines ())
+  in
+  lines ();
   if !clause <> [] then Asp.Sat.add_clause sat (List.rev !clause)
 
 let dimacs_lit l =
@@ -584,7 +613,7 @@ let solve_dimacs ?(portfolio = 1) dimacs proof_file =
      answer may come from a racer). *)
   if portfolio > 1 then
     Asp.Sat.set_portfolio sat
-      (Some (Asp.Solver_intf.portfolio ~first_model:true portfolio));
+      (Some (Asp.Sat.portfolio ~first_model:true portfolio));
   let t0 = Unix.gettimeofday () in
   let res = Asp.Sat.solve sat in
   let dt = Unix.gettimeofday () -. t0 in
@@ -651,7 +680,11 @@ let solve_cmd =
   in
   let run expr file dimacs proof portfolio =
     match dimacs with
-    | Some d -> solve_dimacs ~portfolio:(max 1 portfolio) d proof
+    | Some d -> (
+      try solve_dimacs ~portfolio:(max 1 portfolio) d proof
+      with Dimacs_error e ->
+        Printf.eprintf "error: %s\n" e;
+        1)
     | None ->
     let text =
       match (expr, file) with
@@ -843,7 +876,25 @@ let trace_report_cmd =
              (num (Sjson.member "p99" v)))
       | _ -> ()
     in
+    (* One jsonl event. A line that does not parse, or parses but lacks
+       a field its kind needs (a span without [dur_ns], a non-integer
+       gauge), is counted and skipped, not fatal: a truncated tail (a
+       crashed writer) must not hide the rest of the trace. Every
+       accessor runs before the event is recorded, so a skipped line
+       leaves no partial trace. *)
     let total_lines = ref 0 and skipped = ref 0 in
+    let event parse =
+      incr total_lines;
+      match jsonl_line (parse ()) with
+      | () -> ()
+      | exception Sjson.Parse_error _ -> incr skipped
+    in
+    let all_failed () =
+      if !total_lines > 0 && !skipped = !total_lines then
+        Error
+          (Printf.sprintf "all %d lines of %s failed to parse" !total_lines file)
+      else Ok ()
+    in
     match
       let trimmed = String.trim text in
       if trimmed = "" then Error "empty trace file"
@@ -853,27 +904,17 @@ let trace_report_cmd =
           (* a single JSON document: a chrome trace (or one jsonl line) *)
           match Sjson.member_opt "traceEvents" j with
           | Some evs -> Ok (chrome_events evs)
-          | None -> Ok (jsonl_line j))
+          | None ->
+            event (fun () -> j);
+            all_failed ())
         | exception Sjson.Parse_error _ ->
-          (* One JSON object per line. Unparseable lines are counted
-             and skipped, not fatal: a truncated tail (a crashed
-             writer) must not hide the rest of the trace. *)
           String.split_on_char '\n' text
           |> List.iter (fun line ->
                  let line = String.trim line in
-                 if line <> "" then begin
-                   incr total_lines;
-                   match Sjson.of_string line with
-                   | j -> jsonl_line j
-                   | exception Sjson.Parse_error _ -> incr skipped
-                 end);
-          if !total_lines > 0 && !skipped = !total_lines then
-            Error
-              (Printf.sprintf "all %d lines of %s failed to parse" !total_lines
-                 file)
-          else Ok ()
+                 if line <> "" then event (fun () -> Sjson.of_string line));
+          all_failed ()
     with
-    | exception Failure e ->
+    | exception (Failure e | Sjson.Parse_error e) ->
       Format.eprintf "error: %s@." e;
       1
     | Error e ->

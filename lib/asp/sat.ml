@@ -1,8 +1,4 @@
-(* Glucose-class CDCL core.
-
-   The solver keeps the same external API as the MiniSat-style core it
-   replaced ([Sat_baseline] preserves that one for differential
-   testing) but reworks every hot loop:
+(* Glucose-class CDCL core. The hot loops:
 
    - clauses of size >= 3 live in a flat growable int array (the
      arena); a clause reference ([cref]) is the index of its header.
@@ -78,11 +74,25 @@ module Vec = struct
     dst.len <- src.len
 end
 
-type portfolio = Solver_intf.portfolio = {
+(* Per-solve preemption budget and portfolio request (documented in
+   sat.mli). *)
+type budget = {
+  b_conflicts : int option;
+  b_stop : (unit -> bool) option;
+}
+
+let stop_poll_interval = 32
+
+exception Timeout
+
+type portfolio = {
   pf_n : int;
   pf_first_model : bool;
   pf_exchange : bool;
 }
+
+let portfolio ?(first_model = false) ?(exchange = true) n =
+  { pf_n = n; pf_first_model = first_model; pf_exchange = exchange }
 
 (* Per-rank summary of a portfolio race, kept for stats reporting. *)
 type portfolio_report = {
@@ -137,7 +147,9 @@ type pb = {
   prefix : lit list;     (* negations of level-0-true lits folded into [bound] *)
 }
 
-type proof_step = Solver_intf.proof_step =
+(* DRUP-style proof steps (documented in sat.mli). An UNSAT run ends
+   with [P_derived []]. *)
+type proof_step =
   | P_input of lit list
   | P_pb_input of (int * lit) list * int
   | P_pb_lemma of int * lit list
@@ -219,7 +231,7 @@ type t = {
   mutable proof : proof_step list option;
   mutable n_pb_inputs : int;
   (* preemption budget, applied per [solve] call *)
-  mutable budget : Solver_intf.budget option;
+  mutable budget : budget option;
   (* target-phase rephasing *)
   mutable target_phase : Bytes.t;    (* assignment at the deepest trail seen *)
   mutable best_trail : int;
@@ -1283,7 +1295,7 @@ exception Unsat_exc
 exception Sat_exc
 
 (* Internal marker for budget exhaustion: translated to
-   [Solver_intf.Timeout] after the trail is unwound to level 0. *)
+   [Timeout] after the trail is unwound to level 0. *)
 exception Budget_exc
 
 (* Called once per conflict with the number of conflicts this [solve]
@@ -1293,11 +1305,11 @@ let check_budget s spent =
   match s.budget with
   | None -> ()
   | Some b ->
-    (match b.Solver_intf.b_conflicts with
+    (match b.b_conflicts with
     | Some cap when spent >= cap -> raise Budget_exc
     | _ -> ());
-    (match b.Solver_intf.b_stop with
-    | Some stop when spent mod Solver_intf.stop_poll_interval = 0 && stop () ->
+    (match b.b_stop with
+    | Some stop when spent mod stop_poll_interval = 0 && stop () ->
       raise Budget_exc
     | _ -> ())
 
@@ -1476,7 +1488,7 @@ let solve_single ?(assumptions = []) s =
            database) and surface the typed timeout. The solver stays
            reusable. *)
         cancel_until s 0;
-        raise Solver_intf.Timeout);
+        raise Timeout);
       cancel_until s 0;
       match !result with Some r -> r | None -> assert false
     end
@@ -1619,28 +1631,28 @@ let solve_portfolio ~assumptions s pf =
       let user_budget = s.budget in
       solvers.(0).budget <-
         Some
-          { Solver_intf.b_conflicts =
+          { b_conflicts =
               (match user_budget with
-              | Some b -> b.Solver_intf.b_conflicts
+              | Some b -> b.b_conflicts
               | None -> None);
             b_stop =
               Some
                 (fun () ->
                   Atomic.get stop
                   || (match user_budget with
-                     | Some { Solver_intf.b_stop = Some f; _ } -> f ()
+                     | Some { b_stop = Some f; _ } -> f ()
                      | _ -> false)) };
       for i = 1 to n - 1 do
         solvers.(i).budget <-
           Some
-            { Solver_intf.b_conflicts = None;
+            { b_conflicts = None;
               b_stop = Some (fun () -> Atomic.get stop) }
       done;
       let run i =
         let si = solvers.(i) in
         let verdict =
           try Some (solve_single ~assumptions si)
-          with Solver_intf.Timeout -> None
+          with Timeout -> None
         in
         results.(i) <- verdict;
         match verdict with
@@ -1686,7 +1698,7 @@ let solve_portfolio ~assumptions s pf =
       if w < 0 then
         (* Everyone was preempted: surface the primary's budget
            exhaustion exactly as a single-solver run would. *)
-        raise Solver_intf.Timeout
+        raise Timeout
       else if w = 0 then
         match results.(0) with Some r -> r | None -> assert false
       else begin

@@ -16,9 +16,8 @@
     through the target phases (the assignment of the deepest trail
     seen), their inversion, random phases, and the default polarity.
 
-    The pre-arena MiniSat-style core survives as {!Sat_baseline} with
-    an identical interface ({!Solver_intf.S}); differential tests and
-    the [sat-smoke] bench run both.
+    This is the only CDCL core: {!Logic} runs on it, and
+    [test/test_sat_core.ml] checks it against a brute-force oracle.
 
     Literal encoding: variable [v]'s positive literal is [2 * v],
     its negation [2 * v + 1]. *)
@@ -27,12 +26,57 @@ type t
 
 type lit = int
 
-(** Re-export of {!Solver_intf.portfolio}. *)
-type portfolio = Solver_intf.portfolio = {
+(** A per-solve resource budget, set once on a solver with
+    {!set_budget} and honored by every subsequent {!solve} call until
+    replaced. [b_conflicts] caps the conflicts a single [solve] call
+    may spend; [b_stop] is an external preemption probe (typically
+    "has this request's deadline passed?") polled every
+    {!stop_poll_interval} conflicts, so a wedged search is interrupted
+    within a bounded amount of work. *)
+type budget = {
+  b_conflicts : int option;
+  b_stop : (unit -> bool) option;
+}
+
+val stop_poll_interval : int
+(** Conflicts between two [b_stop] polls (32): small enough that a
+    deadline overrun is noticed promptly, large enough that polling
+    stays off the hot path. *)
+
+exception Timeout
+(** Raised by {!solve} when the active budget is exhausted. The solver
+    is left at decision level 0 with its learnt clauses, activities and
+    phases intact, so it (and any session built on it) remains fully
+    reusable — a preempted request costs nothing but its own time. *)
+
+(** Portfolio mode: {!solve} races [pf_n] clones of the same solver
+    state, diversified by initial phases, rephase interval and seed,
+    exchanging low-LBD learnt clauses through a bounded lock-free ring.
+    The first verdict wins and the winner's proof stream is merged into
+    the primary's certificate.
+
+    [pf_first_model] selects the model-election rule:
+    - [false] (the byte-identity rule used by {!Logic}): only the
+      primary solver — rank 0, the caller's own solver object, which
+      imports no foreign clauses — may report SAT, so the model (and
+      every downstream tie-break) is byte-identical to a single-solver
+      run. Racers contribute UNSAT verdicts only.
+    - [true] (DIMACS/bench rule): the first verdict of either sign wins
+      and a winning racer's model is copied into the primary. The
+      verdict is still deterministic; the particular model is not
+      promised to match a single-solver run.
+
+    [pf_exchange] gates learnt-clause exchange (on by default; off is
+    useful for measuring the channel's contribution). *)
+type portfolio = {
   pf_n : int;
   pf_first_model : bool;
   pf_exchange : bool;
 }
+
+val portfolio : ?first_model:bool -> ?exchange:bool -> int -> portfolio
+(** [portfolio n]: race [n] lanes; [first_model] defaults to [false]
+    (byte-identity rule), [exchange] to [true]. *)
 
 (** Outcome summary of the last portfolio race on a solver. *)
 type portfolio_report = {
@@ -67,12 +111,12 @@ val set_reduce_interval : t -> int -> unit
     2000, +300 after every reduction). Tests lower it to force
     reductions on small instances. *)
 
-val set_budget : t -> Solver_intf.budget option -> unit
+val set_budget : t -> budget option -> unit
 (** Install (or clear, with [None]) a preemption budget honored by
     every subsequent {!solve} call: [b_conflicts] caps the conflicts a
     single call may spend, and [b_stop] is polled every
-    {!Solver_intf.stop_poll_interval} conflicts (the deadline hook the
-    solve server uses). Exhaustion raises {!Solver_intf.Timeout} with
+    {!stop_poll_interval} conflicts (the deadline hook the solve
+    server uses). Exhaustion raises {!Timeout} with
     the solver unwound to level 0 — learnt clauses, activities and
     phases survive, so the solver and any session on top of it remain
     fully reusable. *)
@@ -102,9 +146,8 @@ val lit_sign : lit -> bool
     dropped by [reduce_db], keeping the checker's database in step
     with the solver's. A genuine (assumption-free) UNSAT run logs a
     final [P_derived []]; an independent checker ({!Fuzz.Drup.check})
-    replays the steps and certifies the refutation. The type is shared
-    with {!Sat_baseline} through {!Solver_intf}. *)
-type proof_step = Solver_intf.proof_step =
+    replays the steps and certifies the refutation. *)
+type proof_step =
   | P_input of lit list
   | P_pb_input of (int * lit) list * int
   | P_pb_lemma of int * lit list

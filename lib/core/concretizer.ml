@@ -8,7 +8,6 @@ type options = {
   certify : bool;
   prune : bool;
   verify : bool;
-  baseline_solver : bool;
   ground_jobs : int;
   portfolio : int;
   obs : Obs.ctx;
@@ -24,7 +23,6 @@ let default_options =
     certify = false;
     prune = true;
     verify = false;
-    baseline_solver = false;
     ground_jobs = 1;
     portfolio = 1;
     obs = Obs.disabled }
@@ -193,16 +191,11 @@ let concretize_v ~repo ?(options = default_options) ?budget ?closure
   let result =
     match
       Obs.with_span obs ~cat:"concretize" "solve" (fun _ ->
-          (* The two Logic instances share model/outcome types, so the
-             baseline dispatch is invisible downstream. *)
-          if options.baseline_solver then
-            Asp.Logic.Baseline.solve ~certify:options.certify ~obs ?budget ground
-          else
-            Asp.Logic.solve ~certify:options.certify ~obs ?budget
-              ~portfolio:options.portfolio ground)
+          Asp.Logic.solve ~certify:options.certify ~obs ?budget
+            ~portfolio:options.portfolio ground)
     with
     | r -> Some r
-    | exception Asp.Solver_intf.Timeout -> None
+    | exception Asp.Sat.Timeout -> None
   in
   let t3 = now () in
   match result with

@@ -11,7 +11,7 @@
       ([max_queue]) answering a typed [overloaded] status instead of
       queueing without bound;
     - per-request deadlines and conflict caps enforced {e inside} the
-      SAT core via {!Asp.Solver_intf.budget}: a preempted request
+      SAT core via {!Asp.Sat.budget}: a preempted request
       answers [timeout];
     - dependency closures cached per root the repo knows, keyed to the
       buildcache digest: {!set_reuse} bumps a generation when the

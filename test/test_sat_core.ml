@@ -1,13 +1,13 @@
-(* Differential properties for the glucose-class CDCL core ([Asp.Sat]:
-   clause arena, blocking-literal watchers, LBD-driven learnt-DB
-   reduction, EMA restarts) against the pre-arena baseline
-   ([Asp.Sat_baseline]) and against brute force:
+(* Properties of the glucose-class CDCL core ([Asp.Sat]: clause arena,
+   blocking-literal watchers, LBD-driven learnt-DB reduction, EMA
+   restarts), checked against brute force:
 
-   - both cores agree on satisfiability for random CNF+PB instances,
-     and every model each returns actually satisfies the instance;
-   - an incrementally reused instance of the new core (learnt clauses
-     retained across assumption sets, reductions forced between
-     solves) agrees with a fresh baseline solver per query;
+   - the core agrees with exhaustive enumeration on satisfiability for
+     random CNF+PB instances, and every model it returns actually
+     satisfies the instance;
+   - an incrementally reused solver (learnt clauses retained across
+     assumption sets, reductions forced between solves) agrees with
+     brute force over the clauses plus each query's assumptions;
    - every UNSAT answer certifies with the independent DRUP checker,
      with reductions forced so the proofs carry P_delete steps;
    - reduce_db keeps locked (reason) clauses: conflict-heavy UNSAT
@@ -17,7 +17,6 @@
      a single solver from a phase trap within a conflict budget. *)
 
 module S = Asp.Sat
-module B = Asp.Sat_baseline
 
 (* ---- random CNF+PB instances (as in test_sat.ml, a size up) ---- *)
 
@@ -99,15 +98,6 @@ let arb_instance_assumps =
       let* sets = list_size (int_range 1 6) (list_size (int_range 0 3) lit) in
       return (inst, sets))
 
-let build_baseline (nvars, clauses, pbs) =
-  let s = B.create () in
-  for _ = 1 to nvars do
-    ignore (B.new_var s)
-  done;
-  List.iter (B.add_clause s) clauses;
-  List.iter (fun (wl, b) -> B.add_pb_le s wl b) pbs;
-  s
-
 let build_new ?proof ?reduce ((nvars, clauses, pbs) : int * int list list * ((int * int) list * int) list) =
   let s = S.create () in
   (match proof with Some true -> S.enable_proof s | _ -> ());
@@ -119,49 +109,36 @@ let build_new ?proof ?reduce ((nvars, clauses, pbs) : int * int list list * ((in
   List.iter (fun (wl, b) -> S.add_pb_le s wl b) pbs;
   s
 
-(* ---- 1. both cores agree (and with brute force) ---- *)
+(* ---- 1. the core agrees with brute force ---- *)
 
-let prop_cores_agree =
-  QCheck.Test.make ~name:"glucose core agrees with baseline core and brute force"
+let prop_core_agrees =
+  QCheck.Test.make ~name:"glucose core agrees with brute force"
     ~count:600 arb_instance (fun ((nvars, clauses, pbs) as inst) ->
       let s = build_new inst in
-      let b = build_baseline inst in
       let sat_s = S.solve s in
-      let sat_b = B.solve b in
-      if sat_s <> sat_b then
-        QCheck.Test.fail_reportf "cores disagree: glucose=%b baseline=%b" sat_s sat_b
-      else begin
-        let expected = brute nvars clauses pbs in
-        if sat_s <> expected then
-          QCheck.Test.fail_reportf "both cores wrong vs brute force (%b)" sat_s
-        else
-          (not sat_s)
-          || (check_model clauses pbs (S.value s)
-             && check_model clauses pbs (B.value b))
-      end)
+      let expected = brute nvars clauses pbs in
+      if sat_s <> expected then
+        QCheck.Test.fail_reportf "glucose=%b brute force=%b" sat_s expected
+      else (not sat_s) || check_model clauses pbs (S.value s))
 
 (* ---- 2. incremental reuse with forced reductions ---- *)
 
 let prop_incremental_agrees =
   QCheck.Test.make
-    ~name:"reused solver (reductions forced) agrees with fresh baseline solves"
-    ~count:300 arb_instance_assumps (fun (((_, clauses, pbs) as inst), sets) ->
+    ~name:"reused solver (reductions forced) agrees with brute force"
+    ~count:300 arb_instance_assumps (fun (((nvars, clauses, pbs) as inst), sets) ->
       let s = build_new ~reduce:1 inst in
       List.for_all
         (fun assumptions ->
           let sat_s = S.solve ~assumptions s in
-          let b = build_baseline inst in
-          let sat_b = B.solve ~assumptions b in
-          if sat_s <> sat_b then
+          let clauses = List.map (fun l -> [ l ]) assumptions @ clauses in
+          let expected = brute nvars clauses pbs in
+          if sat_s <> expected then
             QCheck.Test.fail_reportf
-              "assumptions [%s]: reused glucose=%b fresh baseline=%b"
+              "assumptions [%s]: reused glucose=%b brute force=%b"
               (String.concat "," (List.map string_of_int assumptions))
-              sat_s sat_b
-          else
-            (not sat_s)
-            || check_model
-                 (List.map (fun l -> [ l ]) assumptions @ clauses)
-                 pbs (S.value s))
+              sat_s expected
+          else (not sat_s) || check_model clauses pbs (S.value s))
         sets)
 
 (* ---- 3. every UNSAT certifies, with deletions ---- *)
@@ -187,7 +164,7 @@ let prop_portfolio_byte_identical =
     ~count:60 arb_instance (fun ((nvars, clauses, pbs) as inst) ->
       let single = build_new inst in
       let raced = build_new inst in
-      S.set_portfolio raced (Some (Asp.Solver_intf.portfolio 4));
+      S.set_portfolio raced (Some (S.portfolio 4));
       let r1 = S.solve single in
       let r2 = S.solve raced in
       if r1 <> r2 then
@@ -206,7 +183,7 @@ let prop_portfolio_unsat_certifies =
     ~name:"portfolio UNSAT merges a certificate that still certifies"
     ~count:60 arb_instance (fun inst ->
       let s = build_new ~proof:true ~reduce:1 inst in
-      S.set_portfolio s (Some (Asp.Solver_intf.portfolio 4));
+      S.set_portfolio s (Some (S.portfolio 4));
       if S.solve s then true
       else
         match S.proof s with
@@ -218,25 +195,23 @@ let prop_portfolio_unsat_certifies =
 
 (* ---- 5. pigeonhole instances ---- *)
 
-(* PHP(pigeons, holes), generic over [Solver_intf.S] so the baseline
-   core can be driven through the same instances. With [relax], a
-   fresh relaxer literal r is disjoined into every clause: r=true
-   satisfies everything, but the default negative polarity keeps r
-   false, so a solver walks into the pigeonhole refutation first (the
-   phase trap of [bench portfolio-smoke]). *)
-let add_php (type a) ?(relax = false)
-    (module M : Asp.Solver_intf.S with type t = a) (s : a) ~pigeons ~holes =
+(* PHP(pigeons, holes). With [relax], a fresh relaxer literal r is
+   disjoined into every clause: r=true satisfies everything, but the
+   default negative polarity keeps r false, so a solver walks into the
+   pigeonhole refutation first (the phase trap of
+   [bench portfolio-smoke]). *)
+let add_php ?(relax = false) s ~pigeons ~holes =
   let v =
-    Array.init pigeons (fun _ -> Array.init holes (fun _ -> M.new_var s))
+    Array.init pigeons (fun _ -> Array.init holes (fun _ -> S.new_var s))
   in
-  let r = if relax then [ M.pos (M.new_var s) ] else [] in
+  let r = if relax then [ S.pos (S.new_var s) ] else [] in
   for i = 0 to pigeons - 1 do
-    M.add_clause s (r @ Array.to_list (Array.map M.pos v.(i)))
+    S.add_clause s (r @ Array.to_list (Array.map S.pos v.(i)))
   done;
   for j = 0 to holes - 1 do
     for i = 0 to pigeons - 1 do
       for k = i + 1 to pigeons - 1 do
-        M.add_clause s (r @ [ M.neg v.(i).(j); M.neg v.(k).(j) ])
+        S.add_clause s (r @ [ S.neg v.(i).(j); S.neg v.(k).(j) ])
       done
     done
   done
@@ -260,7 +235,7 @@ let test_php_under_reduction () =
   let s = S.create () in
   S.enable_proof s;
   S.set_reduce_interval s 1;
-  add_php (module S) s ~pigeons:7 ~holes:6;
+  add_php s ~pigeons:7 ~holes:6;
   Alcotest.(check bool) "php unsat" false (S.solve s);
   let g = stat s in
   Alcotest.(check bool) "reductions happened" true (g "reduces" > 0);
@@ -281,7 +256,7 @@ let test_php_under_reduction () =
 let test_php_proof () =
   let s = S.create () in
   S.enable_proof s;
-  add_php (module S) s ~pigeons:8 ~holes:7;
+  add_php s ~pigeons:8 ~holes:7;
   Alcotest.(check bool) "php unsat" false (S.solve s);
   Alcotest.(check bool) "rephased at least once" true (stat s "rephases" >= 1);
   certify s
@@ -293,13 +268,13 @@ let test_php_proof () =
    target/inverted phases flip r within a few thousand conflicts. *)
 let test_rephase_escapes_trap () =
   let s = S.create () in
-  add_php ~relax:true (module S) s ~pigeons:11 ~holes:10;
+  add_php ~relax:true s ~pigeons:11 ~holes:10;
   S.set_budget s
-    (Some { Asp.Solver_intf.b_conflicts = Some 50_000; b_stop = None });
+    (Some { S.b_conflicts = Some 50_000; b_stop = None });
   (match S.solve s with
   | true -> ()
   | false -> Alcotest.fail "relaxed-PHP(11,10) came back UNSAT"
-  | exception Asp.Solver_intf.Timeout ->
+  | exception S.Timeout ->
     Alcotest.fail "relaxed-PHP(11,10) still trapped after 50k conflicts");
   Alcotest.(check bool) "rephased at least once" true (stat s "rephases" >= 1)
 
@@ -308,51 +283,48 @@ let test_rephase_escapes_trap () =
 (* PHP(7,6) needs thousands of conflicts, so a small conflict cap must
    preempt the search mid-flight. Preemption unwinds the trail to
    level 0 and leaves the solver reusable: clearing the budget and
-   re-solving the same instance runs to the real UNSAT answer.
-   Generic over [Solver_intf.S] so the baseline core honors the same
-   contract as the arena core. *)
+   re-solving the same instance runs to the real UNSAT answer. *)
 let conflicts_of stats =
   match List.assoc_opt "conflicts" stats with Some n -> n | None -> 0
 
-let check_budget_preempt (type a) (module M : Asp.Solver_intf.S with type t = a)
-    () =
-  let add_php s = add_php (module M) s ~pigeons:7 ~holes:6 in
+let test_budget_preempt () =
+  let add_php s = add_php s ~pigeons:7 ~holes:6 in
   (* conflict cap: preempted at (not after) the cap *)
-  let s = M.create () in
+  let s = S.create () in
   add_php s;
-  M.set_budget s
-    (Some { Asp.Solver_intf.b_conflicts = Some 100; b_stop = None });
-  (match M.solve s with
+  S.set_budget s
+    (Some { S.b_conflicts = Some 100; b_stop = None });
+  (match S.solve s with
   | _ -> Alcotest.fail "a 100-conflict budget did not preempt PHP(7,6)"
-  | exception Asp.Solver_intf.Timeout -> ());
+  | exception S.Timeout -> ());
   Alcotest.(check bool) "preempted promptly (within the conflict cap)" true
-    (conflicts_of (M.stats s) <= 100);
+    (conflicts_of (S.stats s) <= 100);
   (* reusable after preemption: clear the budget, run to completion *)
-  M.set_budget s None;
+  S.set_budget s None;
   Alcotest.(check bool) "solver reusable after preemption: PHP still UNSAT"
-    false (M.solve s);
+    false (S.solve s);
   (* external stop probe (the server's deadline mechanism): polled
      every [stop_poll_interval] conflicts, so an immediately-true
      probe preempts within one interval *)
-  let s2 = M.create () in
+  let s2 = S.create () in
   add_php s2;
   let polls = ref 0 in
-  M.set_budget s2
+  S.set_budget s2
     (Some
-       { Asp.Solver_intf.b_conflicts = None;
+       { S.b_conflicts = None;
          b_stop =
            Some
              (fun () ->
                incr polls;
                true) });
-  (match M.solve s2 with
+  (match S.solve s2 with
   | _ -> Alcotest.fail "an always-true stop probe did not preempt"
-  | exception Asp.Solver_intf.Timeout -> ());
+  | exception S.Timeout -> ());
   Alcotest.(check bool) "stop probe was consulted" true (!polls >= 1);
   Alcotest.(check bool) "stop preemption within one poll interval" true
-    (conflicts_of (M.stats s2) <= Asp.Solver_intf.stop_poll_interval);
-  M.set_budget s2 None;
-  Alcotest.(check bool) "reusable after stop preemption" false (M.solve s2)
+    (conflicts_of (S.stats s2) <= S.stop_poll_interval);
+  S.set_budget s2 None;
+  Alcotest.(check bool) "reusable after stop preemption" false (S.solve s2)
 
 (* ---- 8. Drup checker under deletion-heavy proofs ---- *)
 
@@ -384,12 +356,10 @@ let test_drup_many_deletions () =
     (Printf.sprintf "12k deletions checked in %.3fs (< 5s)" dt)
     true (dt < 5.0)
 
-let test_budget_baseline () = check_budget_preempt (module B) ()
-
 let () =
   Alcotest.run "sat_core"
     [ ( "differential",
-        [ QCheck_alcotest.to_alcotest prop_cores_agree;
+        [ QCheck_alcotest.to_alcotest prop_core_agrees;
           QCheck_alcotest.to_alcotest prop_incremental_agrees ] );
       ( "portfolio",
         [ QCheck_alcotest.to_alcotest prop_portfolio_byte_identical;
@@ -407,6 +377,4 @@ let () =
             test_rephase_escapes_trap ] );
       ( "budget",
         [ Alcotest.test_case "PHP preempted under Glucose restarts" `Quick
-            (check_budget_preempt (module S));
-          Alcotest.test_case "PHP preempted on the baseline core" `Quick
-            test_budget_baseline ] ) ]
+            test_budget_preempt ] ) ]
