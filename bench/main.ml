@@ -6,19 +6,12 @@
      dune exec bench/main.exe -- fig6            RQ2/RQ3: splicing
      dune exec bench/main.exe -- fig7            RQ4: candidate scaling, plus
                                                  buildcache-pool scaling
-                                                 (pruning / sessions /
-                                                 delta-reground; writes
+                                                 (pruning / sessions; writes
                                                  BENCH_fig7.json; tiers via
                                                  --sizes)
      dune exec bench/main.exe -- ablate          design-choice ablations
      dune exec bench/main.exe -- micro           bechamel substrate micro-benches
      dune exec bench/main.exe -- resil-smoke     mirror-layer fault-injection smoke
-     dune exec bench/main.exe -- ground-smoke    delta-grounding + on-disk ground
-                                                 cache gates at the 5000-node
-                                                 pool: 1%-churn delta >= 5x a
-                                                 cold reground, cached cold
-                                                 start >= 10x (also: dune build
-                                                 @ground-smoke)
      dune exec bench/main.exe -- perf-smoke      small pool-scaling config + batch
                                                  determinism (also: dune build
                                                  @perf-smoke)
@@ -479,37 +472,6 @@ let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(assert_speedup = true) () =
       emit ~pool_size:(List.length pool) ~mode:"session" ~wall_ms:session_ms
         ~ground_ms:(ground_ms session) ~atoms:(worst atoms session)
         ~clauses:(worst clauses session) ~baseline:baseline_ms;
-      (* delta-reground: ground the universe once as a warm layered
-         program ({!Concretizer.Warm}), then apply a 1% pool churn as a
-         fact-level delta instead of regrounding from scratch *)
-      let n = List.length pool in
-      let churn = max 1 (n / 100) in
-      let pool_less = List.filteri (fun i _ -> i >= churn) pool in
-      let wopts =
-        { Core.Concretizer.default_options with Core.Concretizer.reuse = pool_less }
-      in
-      (match Core.Concretizer.Warm.create ~repo ~options:wopts ~roots:specs () with
-      | Error e -> failwith ("fig7b: warm create: " ^ e)
-      | Ok warm ->
-        let full_ms = Core.Concretizer.Warm.setup_seconds warm *. 1000.0 in
-        let t0 = Obs.Clock.now_s () in
-        ignore (Core.Concretizer.Warm.set_pool warm pool);
-        let delta_ms = (Obs.Clock.now_s () -. t0) *. 1000.0 in
-        let speedup = if delta_ms > 0.0 then full_ms /. delta_ms else 0.0 in
-        Printf.printf
-          "%-9d %-10s | cold ground %.1f ms, +%d-entry delta %.1f ms (%.1fx)\n%!" n
-          "delta" full_ms churn delta_ms speedup;
-        json_rows :=
-          Sjson.Object
-            [ ("mode", Sjson.String "delta");
-              ("pool_size", Sjson.Int n);
-              ("full_ground_ms", Sjson.Float full_ms);
-              ("delta_reground_ms", Sjson.Float delta_ms);
-              ("delta_entries", Sjson.Int churn);
-              ("speedup", Sjson.Float speedup);
-              ("warm_words", Sjson.Int (Core.Concretizer.Warm.words warm));
-              ("peak_words", Sjson.Int (Gc.quick_stat ()).Gc.top_heap_words) ]
-          :: !json_rows);
       (match unpruned_res with
       | Some (unpruned_ms, _) ->
         speedup_at_max := Some (List.length pool, unpruned_ms /. session_ms)
@@ -532,115 +494,6 @@ let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(assert_speedup = true) () =
         (Printf.sprintf
            "fig7b: expected >= 5x from pruning + sessions at the largest pool, got %.1fx"
            s)
-
-(* Ground-smoke (dune build @ground-smoke): gates the two speedups the
-   delta-grounding layer exists for, at the 5000-node pool and inside a
-   tier-1 time budget:
-
-     - a 1% pool update applied as a fact-level delta
-       ({!Concretizer.Warm.set_pool} -> {!Asp.Ground.layered_update})
-       regrounds >= 5x faster than the cold full ground it replaces;
-     - a cold start served from the on-disk ground cache
-       ({!Core.Groundcache}) loads >= 10x faster than regrounding.
-
-   Both paths must still produce correct answers: after the delta the
-   warm session's costs are compared against fresh pruned solves and
-   the specs re-verified. *)
-let ground_smoke () =
-  Printf.printf "\n=== ground-smoke: delta-grounding + ground-cache gates ===\n";
-  let roots = [ "mfem"; "hypre"; "visit" ] in
-  let public, synthetic =
-    Radiuss.Caches.public_scaled ~repo ~configs:3 ~target_nodes:5000 ()
-  in
-  let raw_pool = Radiuss.Caches.reusable_specs public @ synthetic in
-  let pool =
-    List.filter (fun s -> Core.Verify.check_solution ~repo s = []) raw_pool
-  in
-  let n = List.length pool in
-  let churn = max 1 (n / 100) in
-  let pool_less = List.filteri (fun i _ -> i >= churn) pool in
-  let options pool =
-    { Core.Concretizer.default_options with Core.Concretizer.reuse = pool }
-  in
-  let create ?ground_cache pool =
-    match
-      Core.Concretizer.Warm.create ~repo ~options:(options pool) ?ground_cache
-        ~roots ()
-    with
-    | Ok w -> w
-    | Error e -> failwith ("ground-smoke: warm create: " ^ e)
-  in
-  (* gate 1: 1% churn as a delta vs the cold ground it replaces *)
-  let warm = create pool_less in
-  let full_ms = Core.Concretizer.Warm.setup_seconds warm *. 1000.0 in
-  let t0 = Obs.Clock.now_s () in
-  ignore (Core.Concretizer.Warm.set_pool warm pool);
-  let delta_ms = (Obs.Clock.now_s () -. t0) *. 1000.0 in
-  let delta_speedup = full_ms /. max delta_ms 1e-6 in
-  Printf.printf
-    "pool %d specs: cold ground %.1f ms; 1%% update (%d entries) as delta %.1f ms (%.1fx)\n%!"
-    n full_ms churn delta_ms delta_speedup;
-  if delta_speedup < 5.0 then
-    failwith
-      (Printf.sprintf
-         "ground-smoke: expected >= 5x delta-reground vs cold ground, got %.1fx"
-         delta_speedup);
-  (* the delta-grounded universe still answers correctly: session costs
-     match fresh pruned solves (pruning is cost-sound) and verify clean *)
-  let s = Core.Concretizer.Warm.session warm in
-  List.iter
-    (fun name ->
-      let req = Core.Encode.request_of_string name in
-      match Core.Concretizer.Session.solve s req with
-      | Error f ->
-        failwith ("ground-smoke: warm solve " ^ name ^ ": "
-                  ^ f.Core.Concretizer.f_message)
-      | Ok w -> (
-        (match
-           Core.Verify.check_solution ~repo ~request:(Spec.Parser.parse name)
-             (List.hd w.Core.Concretizer.solution.Core.Decode.specs)
-         with
-        | [] -> ()
-        | _ -> failwith ("ground-smoke: warm solution for " ^ name
-                         ^ " failed Verify"));
-        match
-          Core.Concretizer.concretize_v ~repo ~options:(options pool) [ req ]
-        with
-        | Error f ->
-          failwith ("ground-smoke: fresh solve " ^ name ^ ": "
-                    ^ f.Core.Concretizer.f_message)
-        | Ok f ->
-          if
-            w.Core.Concretizer.stats.Core.Concretizer.costs
-            <> f.Core.Concretizer.stats.Core.Concretizer.costs
-          then
-            failwith ("ground-smoke: warm costs diverge from fresh on " ^ name)))
-    roots;
-  Printf.printf "delta-grounded session: costs match fresh solves, Verify-clean\n%!";
-  (* gate 2: cached cold start vs cold reground, identical pool *)
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "spackml-ground-smoke-%d" (Unix.getpid ()))
-  in
-  let warm1 = create ~ground_cache:dir pool in
-  let cold_ms = Core.Concretizer.Warm.setup_seconds warm1 *. 1000.0 in
-  let warm2 = create ~ground_cache:dir pool in
-  if not (Core.Concretizer.Warm.from_cache warm2) then
-    failwith "ground-smoke: second cold start missed the ground cache";
-  let cached_ms = Core.Concretizer.Warm.setup_seconds warm2 *. 1000.0 in
-  let cache_speedup = cold_ms /. max cached_ms 1e-6 in
-  Printf.printf
-    "cached cold start: %.1f ms vs %.1f ms cold reground (%.1fx)\n%!" cached_ms
-    cold_ms cache_speedup;
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir;
-  if cache_speedup < 10.0 then
-    failwith
-      (Printf.sprintf
-         "ground-smoke: expected >= 10x cached cold start vs cold reground, got %.1fx"
-         cache_speedup);
-  Printf.printf "[ground-smoke] gates passed (delta %.1fx, cache %.1fx)\n%!"
-    delta_speedup cache_speedup
 
 (* The stable-model machinery per request, on the concretize-public
    workload of perfbench: the 2834 verifiable specs of the 5000-node
@@ -2381,7 +2234,6 @@ let () =
     | "micro" -> micro ()
     | "fuzz-smoke" -> fuzz_smoke ()
     | "resil-smoke" -> resil_smoke ()
-    | "ground-smoke" -> ground_smoke ()
     | "perf-smoke" -> perf_smoke ()
     | "sat-smoke" -> sat_smoke ()
     | "portfolio-smoke" -> portfolio_smoke ()
@@ -2400,7 +2252,7 @@ let () =
     | other ->
       Printf.eprintf
         "unknown command %s (try \
-         table1|fig5|fig6|fig7|ablate|micro|fuzz-smoke|resil-smoke|ground-smoke|perf-smoke|sat-smoke|portfolio-smoke|obs-smoke|serve-smoke|obs-live-smoke|install-storm|all)\n"
+         table1|fig5|fig6|fig7|ablate|micro|fuzz-smoke|resil-smoke|perf-smoke|sat-smoke|portfolio-smoke|obs-smoke|serve-smoke|obs-live-smoke|install-storm|all)\n"
         other;
       exit 2
   in

@@ -26,25 +26,6 @@ let concretize_one ~opts text =
   | Ok o -> Ok o
   | Error e -> Error e
 
-(* One-shot concretize through the persistent ground cache: build (or
-   load) a warm delta-grounded universe rooted at the request's root
-   and solve the request as a session assumption set against it. *)
-let concretize_warm ~opts ~dir text =
-  match Core.Encode.request_of_string text with
-  | exception Spec.Parser.Parse_error e -> Error ("parse error: " ^ e)
-  | request -> (
-    let root = request.Core.Encode.req.Spec.Abstract.root.Spec.Abstract.name in
-    match
-      Core.Concretizer.Warm.create ~repo ~options:opts ~ground_cache:dir
-        ~roots:[ root ] ()
-    with
-    | Error e -> Error e
-    | Ok warm -> (
-      let s = Core.Concretizer.Warm.session warm in
-      match Core.Concretizer.Session.solve s request with
-      | Ok o -> Ok o
-      | Error f -> Error f.Core.Concretizer.f_message))
-
 (* ---- flags shared by several commands ---- *)
 
 let reuse_flag =
@@ -59,14 +40,6 @@ let old_flag =
 
 let stats_flag =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print solver statistics.")
-
-let ground_cache_flag =
-  Arg.(value & opt (some string) None & info [ "ground-cache" ] ~docv:"DIR"
-      ~doc:"Persistent on-disk ground cache: load the grounded \
-            request-independent program from DIR when its content key \
-            (program + repo encoding + buildcache digests) matches, and \
-            persist new groundings there. Turns a cold start against a \
-            large buildcache into a load instead of a reground.")
 
 let ground_jobs_flag =
   Arg.(value & opt int 1 & info [ "ground-jobs" ] ~docv:"N"
@@ -201,7 +174,7 @@ let run_batch ~opts ~jobs ~session ~stats file =
 let concretize_cmd =
   let spec_opt_arg = Arg.(value & pos 0 (some string) None & info [] ~docv:"SPEC") in
   let run reuse splicing old_encoding stats json dot batch jobs session
-      ground_cache ground_jobs portfolio trace trace_format spec_text =
+      ground_jobs portfolio trace trace_format spec_text =
     with_trace ~trace ~trace_format @@ fun obs ->
     let opts = options ~reuse ~splicing ~old_encoding in
     (* A traced concretize also re-validates its solutions: the verify
@@ -221,12 +194,14 @@ let concretize_cmd =
     | None, None ->
       Format.eprintf "error: give a SPEC or --batch FILE@.";
       2
+    | None, Some _ when session ->
+      Format.eprintf "error: --session applies only to --batch FILE@.";
+      2
+    | None, Some _ when jobs <> 1 ->
+      Format.eprintf "error: --jobs applies only to --batch FILE@.";
+      2
     | None, Some spec_text -> (
-    match
-      match ground_cache with
-      | Some dir -> concretize_warm ~opts ~dir spec_text
-      | None -> concretize_one ~opts spec_text
-    with
+    match concretize_one ~opts spec_text with
     | Error e ->
       Format.eprintf "error: %s@." e;
       1
@@ -259,8 +234,7 @@ let concretize_cmd =
          "Resolve an abstract spec to a concrete spec DAG, or a whole file of \
           specs with $(b,--batch) (optionally in parallel with $(b,--jobs)).")
     Term.(const run $ reuse_flag $ splice_flag $ old_flag $ stats_flag $ json_flag
-          $ dot_flag $ batch_flag $ jobs_flag $ session_flag $ ground_cache_flag
-          $ ground_jobs_flag $ portfolio_flag $ trace_flag $ trace_format_flag
+          $ dot_flag $ batch_flag $ jobs_flag $ session_flag $ ground_jobs_flag $ portfolio_flag $ trace_flag $ trace_format_flag
           $ spec_opt_arg)
 
 (* ---- install ---- *)

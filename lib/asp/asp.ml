@@ -16,7 +16,6 @@
 
 module Term = Term
 module Ast = Ast
-module Factstore = Factstore
 module Lexer = Lexer
 module Parser = Parser
 module Ground = Ground

@@ -276,6 +276,18 @@ let pp_stats fmt s =
 module Session = struct
   type conc_options = options
 
+  (* A grounded session program: the universe for a set of roots,
+     encoded with the session layer's free choice atoms and grounded
+     once. Sessions translate it without changing it, so any number of
+     them can be built from one program. *)
+  type program = {
+    p_env : Encode.session_env;
+    p_pool : Encode.reuse_pool;
+    p_ground : Asp.Ground.t;
+    p_fact_count : int;
+    p_pool_total : int;
+  }
+
   type t = {
     repo : Pkg.Repo.t;
     options : conc_options;
@@ -300,50 +312,65 @@ module Session = struct
         else None)
       roots
 
+  (* The one way a session program is built: encode, assemble with the
+     session layer, ground. [create] and {!Warm} both go through it. *)
+  let ground_program ~repo ~options ?closure ~roots () =
+    let obs = options.obs in
+    let encoded, env =
+      Obs.with_span obs ~cat:"concretize" "encode" (fun _ ->
+          Encode.encode_session ~repo ~encoding:options.encoding
+            ~splicing:options.splicing ~reuse:(effective_reuse options)
+            ~prune:options.prune ?closure ~obs ~host_os:options.host_os
+            ~host_target:options.host_target ~roots ())
+    in
+    let statements =
+      Obs.with_span obs ~cat:"concretize" "assemble" (fun _ ->
+          let program_text =
+            Program.assemble ~session:true ~encoding:options.encoding
+              ~splicing:options.splicing ()
+          in
+          Asp.parse program_text @ encoded.Encode.rules @ encoded.Encode.facts)
+    in
+    let ground =
+      Obs.with_span obs ~cat:"concretize" "ground" (fun _ ->
+          Asp.Ground.ground ~obs ~jobs:options.ground_jobs statements)
+    in
+    { p_env = env;
+      p_pool = encoded.Encode.pool;
+      p_ground = ground;
+      p_fact_count = List.length encoded.Encode.facts;
+      p_pool_total = encoded.Encode.pool_total }
+
+  (* Translate a grounded program into a solve session; [t0] is when
+     the caller started paying for it. *)
+  let of_program ~repo ~options ~t0 p =
+    let g = p.p_ground in
+    let session =
+      Asp.Logic.session_create ~certify:options.certify ~obs:options.obs
+        ~portfolio:options.portfolio g
+    in
+    { repo;
+      options;
+      env = p.p_env;
+      pool = p.p_pool;
+      session;
+      ground_atoms = Asp.Ground.atom_count g;
+      ground_rules = List.length (Asp.Ground.rules g);
+      fact_count = p.p_fact_count;
+      pool_total = p.p_pool_total;
+      pool_used = Encode.pool_size p.p_pool;
+      setup_seconds = now () -. t0 }
+
   let create ~repo ?(options = default_options) ?closure ~roots () =
     match check_roots ~repo roots with
     | Some e -> Error e
     | None ->
-      let obs = options.obs in
-      Obs.with_span obs ~cat:"concretize" "session.create"
+      Obs.with_span options.obs ~cat:"concretize" "session.create"
         ~attrs:[ ("roots", Obs.I (List.length roots)) ]
       @@ fun _span ->
       let t0 = now () in
-      let encoded, env =
-        Obs.with_span obs ~cat:"concretize" "encode" (fun _ ->
-            Encode.encode_session ~repo ~encoding:options.encoding
-              ~splicing:options.splicing ~reuse:(effective_reuse options)
-              ~prune:options.prune ?closure ~obs ~host_os:options.host_os
-              ~host_target:options.host_target ~roots ())
-      in
-      let statements =
-        Obs.with_span obs ~cat:"concretize" "assemble" (fun _ ->
-            let program_text =
-              Program.assemble ~session:true ~encoding:options.encoding
-                ~splicing:options.splicing ()
-            in
-            Asp.parse program_text @ encoded.Encode.rules @ encoded.Encode.facts)
-      in
-      let ground =
-        Obs.with_span obs ~cat:"concretize" "ground" (fun _ ->
-            Asp.Ground.ground ~obs ~jobs:options.ground_jobs statements)
-      in
-      let session =
-        Asp.Logic.session_create ~certify:options.certify ~obs
-          ~portfolio:options.portfolio ground
-      in
-      Ok
-        { repo;
-          options;
-          env;
-          pool = encoded.Encode.pool;
-          session;
-          ground_atoms = Asp.Ground.atom_count ground;
-          ground_rules = List.length (Asp.Ground.rules ground);
-          fact_count = List.length encoded.Encode.facts;
-          pool_total = encoded.Encode.pool_total;
-          pool_used = Encode.pool_size encoded.Encode.pool;
-          setup_seconds = now () -. t0 }
+      let p = ground_program ~repo ~options ?closure ~roots () in
+      Ok (of_program ~repo ~options ~t0 p)
 
   let setup_seconds s = s.setup_seconds
 
@@ -405,214 +432,54 @@ module Session = struct
             Ok { solution; stats })))
 end
 
-(* ----- warm delta-grounded universes ------------------------------- *)
+(* ----- warm universes ---------------------------------------------- *)
 
 module Warm = struct
   type conc_options = options
 
   type t = {
     repo : Pkg.Repo.t;
-    options : conc_options;
-    base : Encode.layered_base;
-    program_digest : string;  (* program text + rendered base layer *)
-    cache_dir : string option;
-    mutable layered : Asp.Ground.layered;
-    mutable pool : Encode.reuse_pool;
-    mutable env : Encode.session_env;
-    mutable digest : string;  (* current pool digest *)
-    mutable pool_facts : int;  (* facts in the current pool layer *)
-    mutable loaded_from_cache : bool;
-    mutable setup_seconds : float;
+    roots : string list;
+    mutable options : conc_options;  (* [reuse] is the pool in force *)
+    mutable digest : string;  (* pool digest of [options.reuse] *)
+    mutable program : Session.program;
   }
 
-  (* The buildcache identity: a content hash over the sorted DAG
-     hashes of the reusable specs (the solve server keys its eviction
-     generation on it too). *)
-  let pool_digest specs =
-    List.map Spec.Concrete.dag_hash specs
-    |> List.sort String.compare
-    |> String.concat "\n"
-    |> Chash.hash_string
-
-  (* Diff the target pool's group keys against the applied entries and
-     feed the delta to the layered grounder. Entries are named fact
-     groups, so a buildcache swap costs one update proportional to the
-     churn, not the pool. *)
-  let apply_pool t specs =
-    let obs = t.options.obs in
-    let pool = Encode.pool_of_specs specs in
-    let fs = Encode.pool_groups ~obs t.base pool in
-    let removed =
-      List.filter
-        (fun k -> not (Asp.Factstore.mem fs k))
-        (Asp.Ground.layered_entry_keys t.layered)
-    in
-    let added =
-      List.filter_map
-        (fun k ->
-          if Asp.Ground.layered_has_entry t.layered k then None
-          else Some (k, Asp.Factstore.group_atoms fs k))
-        (Asp.Factstore.keys fs)
-    in
-    Asp.Ground.layered_update ~obs t.layered ~removed ~added;
-    t.pool <- pool;
-    t.pool_facts <- Asp.Factstore.fact_count fs;
-    t.env <- Encode.layered_env t.base pool;
-    (* layered_words is a whole-heap reachability walk — only pay for
-       it when someone is actually collecting the gauge *)
-    if Obs.enabled obs then
-      Obs.gauge obs "warm.ground_words" (Asp.Ground.layered_words t.layered)
-
-  let save_cache t key =
-    match t.cache_dir with
-    | None -> ()
-    | Some dir ->
-      ignore (Groundcache.save ~obs:t.options.obs ~dir key t.layered)
-
-  let cache_key t pool_dig =
-    Groundcache.key ~program:t.program_digest ~pool:pool_dig
-
-  let create ~repo ?(options = default_options) ?ground_cache ~roots () =
+  let create ~repo ?(options = default_options) ~roots () =
     match Session.check_roots ~repo roots with
     | Some e -> Error e
     | None ->
-      let obs = options.obs in
-      Obs.with_span obs ~cat:"concretize" "warm.create"
+      Obs.with_span options.obs ~cat:"concretize" "warm.create"
         ~attrs:[ ("roots", Obs.I (List.length roots)) ]
       @@ fun _span ->
-      let t0 = now () in
-      let base =
-        Obs.with_span obs ~cat:"concretize" "encode" (fun _ ->
-            Encode.encode_layered_base ~repo ~encoding:options.encoding
-              ~splicing:options.splicing ~obs ~host_os:options.host_os
-              ~host_target:options.host_target ~roots ())
-      in
-      let text =
-        Program.assemble ~session:true ~encoding:options.encoding
-          ~splicing:options.splicing ()
-      in
-      (* The cache key's program side: logic program text plus the
-         rendered base layer, which covers the repo's entire encoding
-         (package facts, hooks' emitted declared-range facts, splice
-         rules) — a repo change lands on a new key without hashing the
-         repo itself. *)
-      let program_digest =
-        Chash.hash_string
-          (text ^ "\x00"
-          ^ Chash.hash_string
-              (Asp.facts_to_string
-                 (base.Encode.lb_rules @ base.Encode.lb_facts)))
-      in
+      (* resolve the mirror layer once: later pools arrive through
+         [set_pool] as explicit spec lists *)
       let reuse = effective_reuse options in
-      let pdig = pool_digest reuse in
-      let empty_dig = pool_digest [] in
-      let load key =
-        match ground_cache with
-        | None -> None
-        | Some dir -> Groundcache.load ~obs ~dir key
-      in
-      let mk layered pool_specs digest from_cache =
-        let pool = Encode.pool_of_specs pool_specs in
+      let options = { options with reuse; mirrors = None } in
+      Ok
         { repo;
+          roots;
           options;
-          base;
-          program_digest;
-          cache_dir = ground_cache;
-          layered;
-          pool;
-          env = Encode.layered_env base pool;
-          digest;
-          pool_facts = 0;
-          loaded_from_cache = from_cache;
-          setup_seconds = 0. }
-      in
-      let full_key = Groundcache.key ~program:program_digest ~pool:pdig in
-      let t =
-        match load full_key with
-        | Some layered ->
-          let t = mk layered reuse pdig true in
-          (* the snapshot already carries its applied pool groups — no
-             need to re-encode the pool just to report the layer size *)
-          t.pool_facts <- Asp.Ground.layered_pool_facts layered;
-          t
-        | None ->
-          let base_key =
-            Groundcache.key ~program:program_digest ~pool:empty_dig
-          in
-          let layered, base_cached =
-            match load base_key with
-            | Some l -> (l, true)
-            | None ->
-              let statements =
-                Obs.with_span obs ~cat:"concretize" "assemble" (fun _ ->
-                    Asp.parse text @ base.Encode.lb_rules
-                    @ base.Encode.lb_facts)
-              in
-              let l =
-                Obs.with_span obs ~cat:"concretize" "ground" (fun _ ->
-                    Asp.Ground.layered_create ~obs statements)
-              in
-              (l, false)
-          in
-          let t = mk layered [] empty_dig base_cached in
-          if not base_cached then save_cache t base_key;
-          if reuse <> [] then begin
-            apply_pool t reuse;
-            t.digest <- pdig;
-            save_cache t full_key
-          end;
-          t
-      in
-      t.setup_seconds <- now () -. t0;
-      Ok t
+          digest = Encode.pool_digest reuse;
+          program = Session.ground_program ~repo ~options ~roots () }
 
-  (* Swap the buildcache; [true] when the digest (and hence the
-     grounding) changed. The delta path replaces eviction: warm ground
-     state survives, only the churned entries reground. *)
   let set_pool t specs =
-    let d = pool_digest specs in
+    let d = Encode.pool_digest specs in
     if String.equal d t.digest then false
     else begin
       Obs.with_span t.options.obs ~cat:"concretize" "warm.set_pool"
         ~attrs:[ ("specs", Obs.I (List.length specs)) ]
       @@ fun _span ->
-      apply_pool t specs;
+      let options = { t.options with reuse = specs } in
+      t.program <- Session.ground_program ~repo:t.repo ~options ~roots:t.roots ();
+      t.options <- options;
       t.digest <- d;
-      save_cache t (cache_key t d);
       true
     end
 
-  (* A fresh solve session over the current grounding: snapshot the
-     layered ground program (shares the warm atom store) and translate
-     it for the incremental solver. Cheap relative to regrounding —
-     this is what a worker rebuilds after an eviction or a recycle. *)
   let session t =
-    let obs = t.options.obs in
-    Obs.with_span obs ~cat:"concretize" "warm.session" @@ fun _span ->
-    let t0 = now () in
-    let g = Asp.Ground.layered_snapshot ~obs t.layered in
-    let session =
-      Asp.Logic.session_create ~certify:t.options.certify ~obs
-        ~portfolio:t.options.portfolio g
-    in
-    { Session.repo = t.repo;
-      options = t.options;
-      env = t.env;
-      pool = t.pool;
-      session;
-      ground_atoms = Asp.Ground.atom_count g;
-      ground_rules = List.length (Asp.Ground.rules g);
-      fact_count = List.length t.base.Encode.lb_facts + t.pool_facts;
-      pool_total = Encode.pool_size t.pool;
-      pool_used = Encode.pool_size t.pool;
-      setup_seconds = now () -. t0 }
-
-  let generation t = Asp.Ground.layered_generation t.layered
-  let entry_count t = List.length (Asp.Ground.layered_entry_keys t.layered)
-  let digest t = t.digest
-  let words t = Asp.Ground.layered_words t.layered
-  let from_cache t = t.loaded_from_cache
-  let setup_seconds t = t.setup_seconds
+    Obs.with_span t.options.obs ~cat:"concretize" "warm.session" @@ fun _span ->
+    Session.of_program ~repo:t.repo ~options:t.options ~t0:(now ()) t.program
 end
 
 (* ----- multicore batch concretization ------------------------------ *)

@@ -43,7 +43,8 @@ type options = {
       (** partition the grounder's phase-2 instantiation across this
           many OCaml 5 domains ({!Asp.Ground.ground}'s [jobs]); the
           ground program is byte-identical for any value. Applies to
-          one-shot solves and {!Session.create}; default 1. *)
+          every grounding: one-shot solves, {!Session} and {!Warm};
+          default 1. *)
   portfolio : int;
       (** race the initial stable solve of every request across this
           many SAT-solver clones diversified by initial phases, rephase
@@ -167,63 +168,36 @@ module Session : sig
 
 end
 
-(** Warm delta-grounded universes: the request-independent session
-    program grounded once through {!Asp.Ground.layered_create}, with
-    the buildcache applied as named per-entry fact groups
-    ({!Encode.pool_groups}). A buildcache swap becomes a
-    {!Asp.Ground.layered_update} delta proportional to the churn
-    instead of a full reground, and the grounding itself can be
-    persisted to disk ({!Groundcache}) so a cold start at 20k pool
-    entries loads instead of regrounding. *)
+(** Warm universes: the session program for a fixed set of roots,
+    encoded and grounded once per buildcache by the same code
+    {!Session.create} uses, and kept so that sessions can be rebuilt
+    without regrounding. A buildcache swap ({!set_pool}) regrounds the
+    whole program from scratch. *)
 module Warm : sig
   type t
 
   val create :
     repo:Pkg.Repo.t ->
     ?options:options ->
-    ?ground_cache:string ->
     roots:string list ->
     unit ->
     (t, string) result
-  (** Ground the (never-pruned) base universe for session requests
-      rooted at any of [roots], then apply [options.reuse] as the
-      initial pool delta. With [?ground_cache DIR], first try to load
-      the grounding keyed by (program + base facts digest, pool
-      digest) — a hit skips grounding entirely — and persist whatever
-      had to be computed for the next cold start. *)
+  (** Encode and ground the session universe for requests rooted at
+      any of [roots] over [options.reuse] (plus whatever the mirrors
+      in [options.mirrors] index now; they are consulted once, here).
+      With [options.prune], the universe is the closure of all [roots]
+      jointly. *)
 
   val set_pool : t -> Spec.Concrete.t list -> bool
-  (** Swap the buildcache; [true] iff the pool digest changed. Applies
-      the entry-group delta in place (removed entries retract through
-      delete/re-derive, added ones extend semi-naively) and persists
-      the new grounding when a cache dir is configured. Any
-      {!session} built earlier must be discarded — it shares the
-      mutated atom store. *)
+  (** Swap the buildcache; [true] iff its {!Encode.pool_digest}
+      changed, in which case the session program is encoded and
+      grounded again over the new pool. Sessions built earlier keep
+      answering over the pool they were built from. *)
 
   val session : t -> Session.t
-  (** A solve session over the current grounding (snapshot +
-      translate; no regrounding). Valid until the next {!set_pool}. *)
-
-  val pool_digest : Spec.Concrete.t list -> string
-  (** Content digest of a buildcache (sorted DAG hashes) — the pool
-      half of the ground-cache key, and the key of the solve server's
-      eviction generation. *)
-
-  val generation : t -> int
-  (** Bumped by every applied pool delta. *)
-
-  val entry_count : t -> int
-
-  val digest : t -> string
-  (** Pool digest of the currently applied buildcache. *)
-
-  val words : t -> int
-  (** Resident heap words of the warm grounding. *)
-
-  val from_cache : t -> bool
-  (** Whether {!create} loaded the grounding from disk. *)
-
-  val setup_seconds : t -> float
+  (** A solve session over the current grounding: a translate of the
+      held ground program, no regrounding. The ground program is left
+      unchanged, so any number of sessions can be built from it. *)
 end
 
 val concretize_batch :

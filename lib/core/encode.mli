@@ -11,7 +11,11 @@
     [can_splice] directives compile to one ASP rule each (Fig. 4a),
     generated here because their version-range tests must be
     precompiled against the known version universe (ASP cannot order
-    version strings). *)
+    version strings).
+
+    Every encode covers the whole input: a one-shot request
+    ({!encode}) or a session universe ({!encode_session}). A changed
+    buildcache means a fresh encode; there is no per-entry delta. *)
 
 type encoding = Old | Hash_attr
 
@@ -33,6 +37,13 @@ val pool_of_specs : Spec.Concrete.t list -> reuse_pool
 (** Index every node of every spec (each is individually reusable). *)
 
 val pool_size : reuse_pool -> int
+
+val pool_digest : Spec.Concrete.t list -> string
+(** Content digest of a buildcache: a {!Chash} hash over the sorted DAG
+    hashes of its specs, so the same specs in any order have the same
+    digest. The solve server keys its closure-cache generation on
+    it, and {!Concretizer.Warm.set_pool} uses it to skip a reground
+    when the pool did not change. *)
 
 type t = {
   facts : Asp.Ast.statement list;
@@ -123,71 +134,3 @@ val assumptions_for :
     take) are expressed as an assumption on a deliberately nonexistent
     atom, which {!Asp.Logic.session_solve} reports as UNSAT. [Error]
     only for misuse: a root the session was not created for. *)
-
-(** {2 Layered (delta) encoding}
-
-    The monolithic session encode precompiles version ranges against
-    the full version universe (declared plus buildcache versions), so
-    any pool change invalidates every emitted fact. The layered split
-    makes the buildcache a {e delta}: a pool-independent base (package
-    facts against the declared universe, every range precompilation
-    recorded as a hook) plus named per-entry fact groups that
-    {!Asp.Ground.layered_update} applies and retracts incrementally.
-    Base + the groups of pool [P] is fact-for-fact the unpruned
-    session encode over [P]. *)
-
-type hook = {
-  hk_pred : string;
-      (** [cond_version_ok] / [dep_version_ok] / [splice_when_version_ok]
-          / [splice_target_version_ok] *)
-  hk_id : string;  (** condition or splice id (the fact's first argument) *)
-  hk_pkg : string;  (** package whose versions the range tests *)
-  hk_range : Vers.Range.t;
-}
-(** A version-range precompilation site in the base encoding. A pool
-    version satisfying the range owes the base the corresponding
-    [hk_pred(hk_id, v)] fact; the version's pool group carries it. *)
-
-type layered_base = {
-  lb_repo : Pkg.Repo.t;
-  lb_encoding : encoding;
-  lb_splicing : bool;
-  lb_facts : Asp.Ast.statement list;  (** pool-independent facts *)
-  lb_rules : Asp.Ast.statement list;  (** generated can_splice rules *)
-  lb_hooks : hook list;
-  lb_packages : Pkg.Package.t list;
-  lb_roots : string list;
-  lb_names : string list;
-  lb_variants : ((string * string) * string list) list;
-}
-
-val encode_layered_base :
-  repo:Pkg.Repo.t ->
-  encoding:encoding ->
-  splicing:bool ->
-  ?obs:Obs.ctx ->
-  host_os:string ->
-  host_target:string ->
-  roots:string list ->
-  unit ->
-  layered_base
-(** The pool-independent base for a session universe covering [roots]
-    (deduplicated): everything {!encode_session} with [prune:false]
-    and an empty pool would emit, plus the hook list. Never pruned —
-    the layered grounding is shared across requests, and pruning is
-    superseded by delta-grounding only the entries actually present. *)
-
-val pool_groups :
-  ?obs:Obs.ctx -> layered_base -> reuse_pool -> Asp.Factstore.t
-(** The pool layer as named columnar fact groups: [h:HASH] per
-    reusable sub-DAG ([installed_hash] + attribute tuples) and
-    [v:PKG\@VER] per pool-only version ([version_decl] /
-    [version_weight 20] + satisfied hook facts). Group keys are what
-    a warm concretizer diffs to turn a buildcache swap into a
-    {!Asp.Ground.layered_update} delta. Records the store's resident
-    size as a [factstore.words] gauge under [?obs]. *)
-
-val layered_env : layered_base -> reuse_pool -> session_env
-(** The session assumption domains for base + this pool — same shape
-    {!encode_session} returns, with [se_versions] recomputed over
-    declared plus pool versions. *)

@@ -260,7 +260,7 @@ let pool_digest_of t =
    re-feed the same buildcache freely. *)
 let set_reuse t specs =
   Mutex.lock t.pool_mu;
-  let d = Concretizer.Warm.pool_digest specs in
+  let d = Encode.pool_digest specs in
   let changed = d <> t.digest in
   if changed then begin
     t.reuse <- specs;
@@ -913,7 +913,7 @@ let start ~repo ?(config = default_config) ~socket () =
         pool_mu = Mutex.create ();
         reuse;
         pool = Encode.pool_of_specs reuse;
-        digest = Concretizer.Warm.pool_digest reuse;
+        digest = Encode.pool_digest reuse;
         generation = 0;
         closures = Hashtbl.create 64;
         started_s = Obs.Clock.now_s ();

@@ -112,7 +112,7 @@ val stop : t -> unit
 val socket_path : t -> string
 
 val set_reuse : t -> Spec.Concrete.t list -> bool
-(** Replace the reusable pool. If the {!Concretizer.Warm.pool_digest}
+(** Replace the reusable pool. If the {!Encode.pool_digest}
     changed: bump the generation and drop every cached closure.
     Returns whether anything changed. Safe to call while
     requests are in flight — in-flight solves finish against the pool

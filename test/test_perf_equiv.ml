@@ -1,13 +1,17 @@
 (* Performance-stack equivalence properties (reuse-pool pruning,
-   incremental sessions, batch determinism) over random fuzz universes:
-   the fast paths must be observationally equivalent to the fresh
-   from-scratch solver.
+   incremental sessions, warm universes, batch determinism) over random
+   fuzz universes: the fast paths must be observationally equivalent to
+   the fresh from-scratch solver.
 
    - pruning: closure-filtered encodes agree with unpruned encodes on
      solvability, optimal costs, and the solution DAG.
    - sessions: solving under assumptions against a shared ground
      universe returns the same costs as a fresh solve, and its model
      decodes to a Verify-clean spec.
+   - grounding: byte-identical for any job count, and left unchanged
+     by the translate a session does.
+   - warm universes: regrounded on every buildcache swap, they answer
+     like fresh solves over the pool in force.
    - batch: the default concretize_batch mode is byte-identical for
      any domain count. *)
 
@@ -190,54 +194,12 @@ let prop_portfolio_parity =
               f.CC.f_message)
         (u.Fuzz.Gen.u_requests @ u.Fuzz.Gen.u_cache_roots))
 
-(* ---- 3. layered (delta) grounding vs full regrounding ---- *)
-
-(* Rendered, order-insensitive image of a ground program: rules and
-   minimize instances as sorted strings over printed atoms, plus the
-   possible-atom set. Two groundings with this image equal are
-   interchangeable for the solver. *)
-let render_ground g =
-  let atom id = Format.asprintf "%a" (Asp.Ground.pp_atom_id g) id in
-  let ids l = List.sort compare (List.map atom l) in
-  let bound = function Some b -> string_of_int b | None -> "_" in
-  let rules =
-    List.map
-      (fun (r : Asp.Ground.grule) ->
-        let head =
-          match r.Asp.Ground.ghead with
-          | Asp.Ground.Gatom id -> "a:" ^ atom id
-          | Asp.Ground.Gconstraint -> "c"
-          | Asp.Ground.Gchoice { lo; hi; gelems } ->
-            Printf.sprintf "ch:%s..%s{%s}" (bound lo) (bound hi)
-              (String.concat ";" (ids gelems))
-        in
-        Printf.sprintf "%s :- %s ~ %s" head
-          (String.concat "," (ids r.Asp.Ground.gpos))
-          (String.concat "," (ids r.Asp.Ground.gneg)))
-      (Asp.Ground.rules g)
-    |> List.sort compare
-  in
-  let mins =
-    List.map
-      (fun (m : Asp.Ground.gmin) ->
-        Printf.sprintf "min %d@%d|%s :- %s ~ %s" m.Asp.Ground.gweight
-          m.Asp.Ground.gpriority m.Asp.Ground.gkey
-          (String.concat "," (ids m.Asp.Ground.gcond_pos))
-          (String.concat "," (ids m.Asp.Ground.gcond_neg)))
-      (Asp.Ground.minimizes g)
-    |> List.sort compare
-  in
-  let possible = ref [] in
-  for id = 0 to Asp.Ground.atom_count g - 1 do
-    if Asp.Ground.possible g id then possible := atom id :: !possible
-  done;
-  String.concat "\n"
-    (rules @ mins @ [ "possible: " ^ String.concat "," (List.sort compare !possible) ])
+(* ---- 3. grounding: parallel determinism, translate purity ---- *)
 
 (* A miniature concretizer-shaped program: derived node closure, a
    choice rule whose elements come from pool facts, negation over a
-   pool-derived atom, a constraint and two minimize layers touching
-   the pool stratum, and facts shared across entries. *)
+   pool-derived atom, a constraint and two minimize layers, and facts
+   shared across pool entries. *)
 let mini_base =
   {|
     root(a). dep(a,b). dep(b,c). tag(base).
@@ -258,87 +220,67 @@ let mini_base =
     #minimize { 1@2,V : seen(V) }.
   |}
 
+(* The facts of one pool entry. *)
 let mini_entry i =
   let p = Asp.Term.sym [| "a"; "b"; "c" |].(i mod 3) in
   let v = Asp.Term.str [| "1"; "2"; "3"; "9" |].(i mod 4) in
   let h = Asp.Term.str ("h" ^ string_of_int i) in
-  ( "h" ^ string_of_int i,
-    [ Asp.Ast.atom "installed" [ p; h ];
-      Asp.Ast.atom "hash_ver" [ h; v ];
-      Asp.Ast.atom "pool_ver" [ p; v ];
-      (* one fact shared by every entry: exercises refcount survival *)
-      Asp.Ast.atom "tag" [ Asp.Term.sym "shared" ] ] )
+  [ Asp.Ast.atom "installed" [ p; h ];
+    Asp.Ast.atom "hash_ver" [ h; v ];
+    Asp.Ast.atom "pool_ver" [ p; v ];
+    (* one fact shared by every entry *)
+    Asp.Ast.atom "tag" [ Asp.Term.sym "shared" ] ]
 
-let mini_entries = List.init 6 mini_entry
+let mini_program () =
+  Asp.parse mini_base
+  @ List.concat_map (fun i -> List.map Asp.Ast.fact (mini_entry i)) (List.init 6 Fun.id)
 
-let full_ground_of subset =
-  let facts =
-    List.concat_map (fun (_, facts) -> List.map Asp.Ast.fact facts) subset
+(* Everything a solver reads from a ground program: atom numbering,
+   possible atoms, rules in order, minimize instances. *)
+let render_ground g =
+  let n = Asp.Ground.atom_count g in
+  let possible = List.filter (Asp.Ground.possible g) (List.init n Fun.id) in
+  let mins =
+    List.map
+      (fun (m : Asp.Ground.gmin) ->
+        Printf.sprintf "%d@%d|%s :- %s ~ %s" m.Asp.Ground.gweight
+          m.Asp.Ground.gpriority m.Asp.Ground.gkey
+          (String.concat "," (List.map string_of_int m.Asp.Ground.gcond_pos))
+          (String.concat "," (List.map string_of_int m.Asp.Ground.gcond_neg)))
+      (Asp.Ground.minimizes g)
   in
-  Asp.Ground.ground (Asp.parse mini_base @ facts)
-
-let subset_of_mask mask =
-  List.filteri (fun i _ -> mask land (1 lsl i) <> 0) mini_entries
-
-let check_layered_equiv what lg subset =
-  let got = render_ground (Asp.Ground.layered_snapshot lg) in
-  let want = render_ground (full_ground_of subset) in
-  if got <> want then
-    QCheck.Test.fail_reportf "%s: layered snapshot differs from full reground@.%s"
-      what
-      (String.concat "\n"
-         (List.filter
-            (fun l -> l <> "")
-            (let gs = String.split_on_char '\n' got
-             and ws = String.split_on_char '\n' want in
-             List.map (fun l -> if List.mem l ws then "" else "+ " ^ l) gs
-             @ List.map (fun l -> if List.mem l gs then "" else "- " ^ l) ws)));
-  true
-
-let prop_layered_equiv =
-  QCheck.Test.make ~name:"delta-reground == full reground (mini program)" ~count:200
-    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 0xFFFFFF))
-    (fun seed ->
-      let s0 = subset_of_mask (seed land 0x3F) in
-      let s1 = subset_of_mask ((seed lsr 6) land 0x3F) in
-      let lg = Asp.Ground.layered_create (Asp.parse mini_base) in
-      ignore (check_layered_equiv "empty" lg []);
-      Asp.Ground.layered_update lg ~removed:[] ~added:s0;
-      ignore (check_layered_equiv "first pool" lg s0);
-      let removed =
-        List.filter_map
-          (fun (k, _) -> if List.mem_assoc k s1 then None else Some k)
-          s0
-      in
-      let added = List.filter (fun (k, _) -> not (List.mem_assoc k s0)) s1 in
-      Asp.Ground.layered_update lg ~removed ~added;
-      ignore (check_layered_equiv "delta to second pool" lg s1);
-      Asp.Ground.layered_update lg
-        ~removed:(Asp.Ground.layered_entry_keys lg)
-        ~added:[];
-      ignore (check_layered_equiv "drained" lg []);
-      true)
-
-(* ---- 4. parallel grounding determinism ---- *)
+  Format.asprintf "%d atoms, possible %s@.%a%s" n
+    (String.concat "," (List.map string_of_int possible))
+    Asp.Ground.pp g (String.concat "\n" mins)
 
 let test_ground_jobs_determinism () =
-  let prog =
-    Asp.parse mini_base
-    @ List.concat_map (fun (_, facts) -> List.map Asp.Ast.fact facts) mini_entries
-  in
-  let render g =
-    Format.asprintf "%d@.%a" (Asp.Ground.atom_count g) Asp.Ground.pp g
-  in
-  let reference = render (Asp.Ground.ground ~jobs:1 prog) in
+  let prog = mini_program () in
+  let reference = render_ground (Asp.Ground.ground ~jobs:1 prog) in
   List.iter
     (fun jobs ->
       Alcotest.(check string)
         (Printf.sprintf "ground --jobs %d byte-identical" jobs)
         reference
-        (render (Asp.Ground.ground ~jobs prog)))
+        (render_ground (Asp.Ground.ground ~jobs prog)))
     [ 2; 3; 4 ]
 
-(* ---- 5. warm delta-grounded sessions vs fresh solves ---- *)
+(* A session translates a ground program without changing it, so one
+   grounding can back any number of sessions ({!CC.Warm.session}). *)
+let test_translate_keeps_ground () =
+  let g = Asp.Ground.ground (mini_program ()) in
+  let before = render_ground g in
+  let cost s =
+    match Asp.Logic.session_solve s ~assume:[] with
+    | Asp.Logic.Sat m -> pp_costs m.Asp.Logic.costs
+    | Asp.Logic.Unsat _ -> "unsat"
+  in
+  let first = cost (Asp.Logic.session_create g) in
+  let second = cost (Asp.Logic.session_create g) in
+  Alcotest.(check string) "ground program unchanged by translate" before
+    (render_ground g);
+  Alcotest.(check string) "two sessions over one grounding agree" first second
+
+(* ---- 4. regrounding warm universes vs fresh solves ---- *)
 
 (* the session roots of a universe: request roots that name known
    non-virtual packages *)
@@ -352,17 +294,19 @@ let roots_of ~repo (u : Fuzz.Gen.t) =
     u.Fuzz.Gen.u_requests
   |> List.sort_uniq String.compare
 
-(* Drive a {!CC.Warm} universe through random buildcache swaps: each
-   round applies a random subset of the universe's pool as a fact-level
-   delta ({!Asp.Ground.layered_update} under the hood — removed entries
-   retract, added ones extend) and checks every request against a fresh
-   unpruned solve over the same pool: same optimal costs, Verify-clean
-   specs. This is the end-to-end delta-reground == full-reground
-   property over concretizer-real programs. *)
-let prop_warm_delta_parity =
-  QCheck.Test.make
-    ~name:"warm delta-grounded sessions match fresh solves (glucose)"
-    ~count:8 arb_universe (fun seed ->
+(* A pool's identity for {!Core.Encode.pool_digest}: its DAG hashes in
+   any order, duplicates included. *)
+let dag_hashes specs = List.sort String.compare (List.map Spec.Concrete.dag_hash specs)
+
+(* Drive a {!CC.Warm} universe through buildcache swaps: random subsets
+   of the universe's pool, then back to the first one. Each swap must
+   report a change exactly when the pool's DAG hashes changed, and a
+   reordered copy of the pool in force must report none. Every round
+   checks every request against a fresh unpruned solve over the same
+   pool: same optimal costs, Verify-clean specs. *)
+let prop_warm_reground_parity =
+  QCheck.Test.make ~name:"regrounding Warm == fresh" ~count:8 arb_universe
+    (fun seed ->
       let u = Fuzz.Gen.generate (Fuzz.Rng.create seed) in
       let repo = Fuzz.Gen.to_repo u in
       let pool = pool_of ~repo u in
@@ -373,6 +317,8 @@ let prop_warm_delta_parity =
         let rng = Fuzz.Rng.fork (Fuzz.Rng.create seed) "warm-deltas" in
         let subset () = List.filter (fun _ -> Fuzz.Rng.bool rng) pool in
         let pool0 = subset () in
+        let pool1 = subset () in
+        let pool2 = subset () in
         match
           CC.Warm.create ~repo
             ~options:(options ~splicing ~reuse:pool0 ~prune:false ())
@@ -380,10 +326,20 @@ let prop_warm_delta_parity =
         with
         | Error e -> QCheck.Test.fail_reportf "warm create: %s" e
         | Ok warm ->
+          let prev = ref pool0 in
           List.for_all
-            (fun round ->
-              let p = if round = 0 then pool0 else subset () in
-              if round > 0 then ignore (CC.Warm.set_pool warm p);
+            (fun (round, p) ->
+              if round > 0 then begin
+                let changed = dag_hashes p <> dag_hashes !prev in
+                if CC.Warm.set_pool warm p <> changed then
+                  QCheck.Test.fail_reportf
+                    "round %d: set_pool should return %b (%d -> %d specs)" round
+                    changed (List.length !prev) (List.length p);
+                if CC.Warm.set_pool warm (List.rev p) then
+                  QCheck.Test.fail_reportf
+                    "round %d: set_pool reported a change for the same pool" round;
+                prev := p
+              end;
               let session = CC.Warm.session warm in
               let opts = options ~splicing ~reuse:p ~prune:false () in
               List.for_all
@@ -415,85 +371,10 @@ let prop_warm_delta_parity =
                       "round %d request %s: warm SAT but fresh failed: %s" round
                       r f.CC.f_message)
                 u.Fuzz.Gen.u_requests)
-            [ 0; 1; 2 ]
+            [ (0, pool0); (1, pool1); (2, pool2); (3, pool0) ]
       end)
 
-(* ---- 6. on-disk ground-cache round-trip ---- *)
-
-(* A warm universe persisted by one process and loaded by the next must
-   behave identically: the loaded grounding answers every request with
-   the same costs and the same DAG as the one that was computed cold,
-   and a pool swap persisted via set_pool is hit by a later cold start
-   under the swapped pool. *)
-let test_groundcache_roundtrip () =
-  let rec find seed =
-    if seed > 142 then Alcotest.fail "no universe with roots and a pool"
-    else
-      let u = Fuzz.Gen.generate (Fuzz.Rng.create seed) in
-      let repo = Fuzz.Gen.to_repo u in
-      let pool = pool_of ~repo u in
-      let roots = roots_of ~repo u in
-      if roots <> [] && pool <> [] then (u, repo, pool, roots)
-      else find (seed + 1)
-  in
-  let u, repo, pool, roots = find 42 in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "spackml-gc-test-%d" (Unix.getpid ()))
-  in
-  let cleanup () =
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir
-    end
-  in
-  Fun.protect ~finally:cleanup @@ fun () ->
-  let opts = options ~reuse:pool ~prune:false () in
-  let create ?(reuse = pool) () =
-    match
-      CC.Warm.create ~repo ~options:{ opts with CC.reuse } ~ground_cache:dir
-        ~roots ()
-    with
-    | Ok w -> w
-    | Error e -> Alcotest.fail ("warm create: " ^ e)
-  in
-  let w1 = create () in
-  Alcotest.(check bool) "first create grounds cold" false (CC.Warm.from_cache w1);
-  let w2 = create () in
-  Alcotest.(check bool) "second create loads from disk" true (CC.Warm.from_cache w2);
-  Alcotest.(check string)
-    "same pool digest" (CC.Warm.digest w1) (CC.Warm.digest w2);
-  let answers w =
-    let session = CC.Warm.session w in
-    String.concat "\n"
-      (List.map
-         (fun r ->
-           match CC.Session.solve session (Core.Encode.request_of_string r) with
-           | Ok o ->
-             Printf.sprintf "ok %s %s"
-               (Spec.Concrete.dag_hash (root_spec o))
-               (pp_costs (costs o))
-           | Error f -> "error " ^ f.CC.f_message)
-         u.Fuzz.Gen.u_requests)
-  in
-  Alcotest.(check string)
-    "cold and cache-loaded groundings answer identically" (answers w1)
-    (answers w2);
-  (* a pool swap persisted by set_pool is a cache hit for the next cold
-     start under that pool (the solve server's reload path) *)
-  let half = List.filteri (fun i _ -> i mod 2 = 0) pool in
-  if CC.Warm.pool_digest half <> CC.Warm.pool_digest pool then begin
-    ignore (CC.Warm.set_pool w2 half);
-    let w3 = create ~reuse:half () in
-    Alcotest.(check bool)
-      "swapped pool loads from the set_pool-persisted entry" true
-      (CC.Warm.from_cache w3);
-    Alcotest.(check string)
-      "swapped-pool digests agree" (CC.Warm.digest w2) (CC.Warm.digest w3)
-  end
-
-(* ---- 7. batch determinism ---- *)
+(* ---- 5. batch determinism ---- *)
 
 let render_batch results =
   String.concat "\n"
@@ -523,16 +404,15 @@ let test_batch_determinism () =
 
 let () =
   Alcotest.run "perf_equiv"
-    (( "layered-grounding",
-       [ QCheck_alcotest.to_alcotest prop_layered_equiv;
-         Alcotest.test_case "parallel grounding determinism" `Quick
-           test_ground_jobs_determinism;
-         Alcotest.test_case "ground-cache round-trip" `Quick
-           test_groundcache_roundtrip ] )
-    :: [ ( "equivalence-glucose",
-           [ QCheck_alcotest.to_alcotest prop_prune_parity;
-             QCheck_alcotest.to_alcotest prop_session_parity;
-             QCheck_alcotest.to_alcotest prop_portfolio_parity;
-             QCheck_alcotest.to_alcotest prop_warm_delta_parity;
-             Alcotest.test_case "batch determinism (glucose)" `Quick
-               test_batch_determinism ] ) ])
+    [ ( "grounding",
+        [ Alcotest.test_case "parallel grounding determinism" `Quick
+            test_ground_jobs_determinism;
+          Alcotest.test_case "translate keeps the ground" `Quick
+            test_translate_keeps_ground ] );
+      ( "equivalence-glucose",
+        [ QCheck_alcotest.to_alcotest prop_prune_parity;
+          QCheck_alcotest.to_alcotest prop_session_parity;
+          QCheck_alcotest.to_alcotest prop_portfolio_parity;
+          QCheck_alcotest.to_alcotest prop_warm_reground_parity;
+          Alcotest.test_case "batch determinism (glucose)" `Quick
+            test_batch_determinism ] ) ]
