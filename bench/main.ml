@@ -946,214 +946,6 @@ let sat_smoke () =
           %d bound"
          conflicts target max_conflicts)
 
-(* Portfolio smoke (dune build @portfolio-smoke): racing diversified
-   solver configurations must (a) beat the single solver by >= 1.5x
-   wall time on the raced pigeonhole suite — a phase-trapped
-   satisfiable instance where the default configuration burns >= 1000
-   conflicts before its rephase schedule rescues it while a
-   positive-phase lane answers immediately, plus an UNSAT instance
-   whose merged multi-stream proof must still certify — and (b) stay
-   byte-identical on real concretizations over a large buildcache,
-   where racing may only change wall time. Results merge into
-   BENCH_sat.json next to the sat-smoke numbers. *)
-let portfolio_smoke () =
-  Printf.printf "\n=== portfolio-smoke: diversified solver racing ===\n%!";
-  (* PHP(p,h) with a fresh relaxer literal r disjoined into every
-     clause: r=true satisfies everything, but the default negative
-     polarity keeps r false, so the solver walks into the full
-     pigeonhole refutation first (the phase trap). *)
-  let relaxed_php sat p h =
-    let v i j = (i * h) + j in
-    for _ = 1 to (p * h) + 1 do
-      ignore (Asp.Sat.new_var sat)
-    done;
-    let r = Asp.Sat.pos (p * h) in
-    for i = 0 to p - 1 do
-      Asp.Sat.add_clause sat (r :: List.init h (fun j -> Asp.Sat.pos (v i j)))
-    done;
-    for j = 0 to h - 1 do
-      for i1 = 0 to p - 1 do
-        for i2 = i1 + 1 to p - 1 do
-          Asp.Sat.add_clause sat
-            [ r; Asp.Sat.neg (v i1 j); Asp.Sat.neg (v i2 j) ]
-        done
-      done
-    done
-  in
-  let php sat p h =
-    let v =
-      Array.init p (fun _ -> Array.init h (fun _ -> Asp.Sat.new_var sat))
-    in
-    for i = 0 to p - 1 do
-      Asp.Sat.add_clause sat (Array.to_list (Array.map Asp.Sat.pos v.(i)))
-    done;
-    for j = 0 to h - 1 do
-      for i1 = 0 to p - 1 do
-        for i2 = i1 + 1 to p - 1 do
-          Asp.Sat.add_clause sat
-            [ Asp.Sat.neg v.(i1).(j); Asp.Sat.neg v.(i2).(j) ]
-        done
-      done
-    done
-  in
-  let run ~name ~build ~expect_sat ~pf () =
-    let s = Asp.Sat.create () in
-    if not expect_sat then Asp.Sat.enable_proof s;
-    build s;
-    if pf > 1 then
-      Asp.Sat.set_portfolio s
-        (Some (Asp.Sat.portfolio ~first_model:true pf));
-    let t0 = Obs.Clock.now_s () in
-    let r = Asp.Sat.solve s in
-    let dt = Obs.Clock.now_s () -. t0 in
-    if r <> expect_sat then
-      failwith
-        (Printf.sprintf "portfolio-smoke: %s came back %s at portfolio %d"
-           name
-           (if r then "SAT" else "UNSAT")
-           pf);
-    if not expect_sat then begin
-      match Asp.Sat.proof s with
-      | None -> failwith ("portfolio-smoke: no proof recorded for " ^ name)
-      | Some steps -> (
-        match Fuzz.Drup.check steps with
-        | Ok () -> ()
-        | Error e ->
-          failwith
-            (Printf.sprintf "portfolio-smoke: %s proof rejected at portfolio \
-                             %d: %s"
-               name pf e))
-    end;
-    (dt, Asp.Sat.last_portfolio s)
-  in
-  (* best-of-reps on each side: gate on the mechanism, not the noise *)
-  let best f =
-    List.fold_left
-      (fun ((bt, _) as acc) _ ->
-        let ((t, _) as r) = f () in
-        if t < bt then r else acc)
-      (f ())
-      (List.init (max 0 (!reps - 1)) Fun.id)
-  in
-  let suite =
-    [ ( "phase-trap relaxed-PHP(11,10)",
-        (fun s -> relaxed_php s 11 10),
-        true );
-      ("PHP(6,5) unsat + merged proof", (fun s -> php s 6 5), false) ]
-  in
-  let rows =
-    List.map
-      (fun (name, build, expect_sat) ->
-        let t1, _ = best (fun () -> run ~name ~build ~expect_sat ~pf:1 ()) in
-        let t4, rep = best (fun () -> run ~name ~build ~expect_sat ~pf:4 ()) in
-        let winner =
-          match rep with
-          | Some r -> r.Asp.Sat.pr_winner_config
-          | None -> "single"
-        in
-        Printf.printf
-          "%-30s | single %7.1f ms | portfolio4 %7.1f ms (%5.2fx) | winner %s\n%!"
-          name (t1 *. 1000.0) (t4 *. 1000.0) (t1 /. t4) winner;
-        (name, t1, t4, winner))
-      suite
-  in
-  let total1 = List.fold_left (fun a (_, t1, _, _) -> a +. t1) 0.0 rows in
-  let total4 = List.fold_left (fun a (_, _, t4, _) -> a +. t4) 0.0 rows in
-  let wall = total1 /. total4 in
-  Printf.printf
-    "[portfolio-smoke] raced suite wall time: %.1f ms -> %.1f ms (%.2fx)\n%!"
-    (total1 *. 1000.0) (total4 *. 1000.0) wall;
-  (* (b) byte-identity on real concretizations over a large pool:
-     portfolio solves must return the same costs and the same DAG *)
-  let target = 20000 in
-  let public, synthetic =
-    Radiuss.Caches.public_scaled ~repo ~configs:3 ~target_nodes:target ()
-  in
-  let pool = Radiuss.Caches.reusable_specs public @ synthetic in
-  Printf.printf "pool: %d specs (target %d nodes); %d requests, pruned\n%!"
-    (List.length pool) target (List.length quick_specs);
-  let solve pf name =
-    let options =
-      { Core.Concretizer.default_options with
-        Core.Concretizer.reuse = pool;
-        prune = true;
-        portfolio = pf }
-    in
-    match
-      Core.Concretizer.concretize_v ~repo ~options
-        [ Core.Encode.request_of_string name ]
-    with
-    | Ok o -> o
-    | Error f -> failwith (name ^ ": " ^ f.Core.Concretizer.f_message)
-  in
-  let t0 = Obs.Clock.now_s () in
-  let single = List.map (solve 1) quick_specs in
-  let t_single = Obs.Clock.now_s () -. t0 in
-  let t0 = Obs.Clock.now_s () in
-  let raced = List.map (solve 4) quick_specs in
-  let t_raced = Obs.Clock.now_s () -. t0 in
-  List.iter2
-    (fun name ((a : Core.Concretizer.outcome), (b : Core.Concretizer.outcome)) ->
-      if
-        a.Core.Concretizer.stats.Core.Concretizer.costs
-        <> b.Core.Concretizer.stats.Core.Concretizer.costs
-      then failwith ("portfolio-smoke: costs diverge on " ^ name);
-      let hash (o : Core.Concretizer.outcome) =
-        Spec.Concrete.dag_hash (List.hd o.Core.Concretizer.solution.Core.Decode.specs)
-      in
-      if hash a <> hash b then
-        failwith ("portfolio-smoke: portfolio changed the DAG on " ^ name))
-    quick_specs (List.combine single raced);
-  Printf.printf
-    "pool solves: single %.1f ms, portfolio4 %.1f ms (overhead %.2fx), \
-     costs and DAGs byte-identical\n%!"
-    (t_single *. 1000.0) (t_raced *. 1000.0)
-    (t_raced /. t_single);
-  (* merge into BENCH_sat.json alongside the sat-smoke numbers *)
-  let pf_json =
-    Sjson.Object
-      [ ( "suite",
-          Sjson.Array
-            (List.map
-               (fun (name, t1, t4, winner) ->
-                 Sjson.Object
-                   [ ("workload", Sjson.String name);
-                     ("single_ms", Sjson.Float (t1 *. 1000.0));
-                     ("portfolio4_ms", Sjson.Float (t4 *. 1000.0));
-                     ("winner", Sjson.String winner) ])
-               rows) );
-        ("wall_speedup", Sjson.Float wall);
-        ("pool_size", Sjson.Int (List.length pool));
-        ("pool_single_ms", Sjson.Float (t_single *. 1000.0));
-        ("pool_portfolio4_ms", Sjson.Float (t_raced *. 1000.0));
-        ("pool_overhead", Sjson.Float (t_raced /. t_single));
-        ("byte_identical", Sjson.Bool true) ]
-  in
-  let existing =
-    match open_in "BENCH_sat.json" with
-    | exception Sys_error _ -> []
-    | ic ->
-      Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-      (try
-         match Sjson.of_string (really_input_string ic (in_channel_length ic)) with
-         | Sjson.Object kvs -> List.filter (fun (k, _) -> k <> "portfolio") kvs
-         | _ -> []
-       with _ -> [])
-  in
-  let oc = open_out "BENCH_sat.json" in
-  output_string oc
-    (Sjson.to_string ~pretty:true
-       (Sjson.Object (existing @ [ ("portfolio", pf_json) ])));
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "[portfolio-smoke] wrote BENCH_sat.json\n%!";
-  if wall < 1.5 then
-    failwith
-      (Printf.sprintf
-         "portfolio-smoke: expected >= 1.5x wall speedup at portfolio 4 on \
-          the raced suite, got %.2fx"
-         wall)
-
 (* Observability smoke (dune build @obs-smoke): a traced
    concretize+install must produce a parseable Chrome trace whose phase
    spans are present and well-nested per domain, and instrumentation
@@ -2236,7 +2028,6 @@ let () =
     | "resil-smoke" -> resil_smoke ()
     | "perf-smoke" -> perf_smoke ()
     | "sat-smoke" -> sat_smoke ()
-    | "portfolio-smoke" -> portfolio_smoke ()
     | "obs-smoke" -> obs_smoke ()
     | "serve-smoke" -> serve_smoke ()
     | "obs-live-smoke" -> obs_live_smoke ()
@@ -2252,7 +2043,7 @@ let () =
     | other ->
       Printf.eprintf
         "unknown command %s (try \
-         table1|fig5|fig6|fig7|ablate|micro|fuzz-smoke|resil-smoke|perf-smoke|sat-smoke|portfolio-smoke|obs-smoke|serve-smoke|obs-live-smoke|install-storm|all)\n"
+         table1|fig5|fig6|fig7|ablate|micro|fuzz-smoke|resil-smoke|perf-smoke|sat-smoke|obs-smoke|serve-smoke|obs-live-smoke|install-storm|all)\n"
         other;
       exit 2
   in

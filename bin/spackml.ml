@@ -41,21 +41,6 @@ let old_flag =
 let stats_flag =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print solver statistics.")
 
-let ground_jobs_flag =
-  Arg.(value & opt int 1 & info [ "ground-jobs" ] ~docv:"N"
-      ~doc:"Partition the grounder's instantiation phase across N \
-            parallel domains (default 1). The ground program is \
-            byte-identical for any N.")
-
-let portfolio_flag =
-  Arg.(value & opt int 1 & info [ "portfolio" ] ~docv:"N"
-      ~doc:"Race N SAT-solver clones, diversified by initial phases, \
-            rephase interval and seed, on the hard solve phase, \
-            exchanging low-LBD learnt clauses; first verdict wins \
-            and UNSAT proofs still certify. Results are identical \
-            to a single-solver run; only wall time changes. Default 1 \
-            (off).")
-
 let spec_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"SPEC")
 
 (* ---- tracing (shared by concretize / install / fuzz) ---- *)
@@ -174,18 +159,12 @@ let run_batch ~opts ~jobs ~session ~stats file =
 let concretize_cmd =
   let spec_opt_arg = Arg.(value & pos 0 (some string) None & info [] ~docv:"SPEC") in
   let run reuse splicing old_encoding stats json dot batch jobs session
-      ground_jobs portfolio trace trace_format spec_text =
+      trace trace_format spec_text =
     with_trace ~trace ~trace_format @@ fun obs ->
     let opts = options ~reuse ~splicing ~old_encoding in
     (* A traced concretize also re-validates its solutions: the verify
        span is part of the pipeline picture. *)
-    let opts =
-      { opts with
-        Core.Concretizer.obs;
-        verify = Obs.enabled obs;
-        ground_jobs = max 1 ground_jobs;
-        portfolio = max 1 portfolio }
-    in
+    let opts = { opts with Core.Concretizer.obs; verify = Obs.enabled obs } in
     match (batch, spec_text) with
     | Some file, None -> run_batch ~opts ~jobs ~session ~stats file
     | Some _, Some _ ->
@@ -234,7 +213,7 @@ let concretize_cmd =
          "Resolve an abstract spec to a concrete spec DAG, or a whole file of \
           specs with $(b,--batch) (optionally in parallel with $(b,--jobs)).")
     Term.(const run $ reuse_flag $ splice_flag $ old_flag $ stats_flag $ json_flag
-          $ dot_flag $ batch_flag $ jobs_flag $ session_flag $ ground_jobs_flag $ portfolio_flag $ trace_flag $ trace_format_flag
+          $ dot_flag $ batch_flag $ jobs_flag $ session_flag $ trace_flag $ trace_format_flag
           $ spec_opt_arg)
 
 (* ---- install ---- *)
@@ -578,16 +557,10 @@ let emit_drup path steps =
         line lits)
     steps
 
-let solve_dimacs ?(portfolio = 1) dimacs proof_file =
+let solve_dimacs dimacs proof_file =
   let sat = Asp.Sat.create () in
   if proof_file <> None then Asp.Sat.enable_proof sat;
   parse_dimacs sat dimacs;
-  (* DIMACS races use the first-model election rule: any verdict wins
-     (the verdict is still deterministic; the particular model of a SAT
-     answer may come from a racer). *)
-  if portfolio > 1 then
-    Asp.Sat.set_portfolio sat
-      (Some (Asp.Sat.portfolio ~first_model:true portfolio));
   let t0 = Unix.gettimeofday () in
   let res = Asp.Sat.solve sat in
   let dt = Unix.gettimeofday () -. t0 in
@@ -595,16 +568,6 @@ let solve_dimacs ?(portfolio = 1) dimacs proof_file =
     (fun (k, v) -> Printf.printf "c %-13s %d\n" k v)
     (Asp.Sat.stats sat);
   Printf.printf "c solve-seconds %.3f\n" dt;
-  (match Asp.Sat.last_portfolio sat with
-  | None -> ()
-  | Some r ->
-    Printf.printf "c winner        rank=%d config=%s\n" r.Asp.Sat.pr_winner
-      r.Asp.Sat.pr_winner_config;
-    Array.iteri
-      (fun rank (config, conflicts) ->
-        Printf.printf "c domain        rank=%d config=%s conflicts=%d\n" rank
-          config conflicts)
-      r.Asp.Sat.pr_domains);
   if res then begin
     print_endline "s SATISFIABLE";
     let n = Asp.Sat.nvars sat in
@@ -652,10 +615,10 @@ let solve_cmd =
               (derived clauses plus d-lines for learnt-DB deletions), \
               and certify UNSAT answers with the independent checker.")
   in
-  let run expr file dimacs proof portfolio =
+  let run expr file dimacs proof =
     match dimacs with
     | Some d -> (
-      try solve_dimacs ~portfolio:(max 1 portfolio) d proof
+      try solve_dimacs d proof
       with Dimacs_error e ->
         Printf.eprintf "error: %s\n" e;
         1)
@@ -698,7 +661,7 @@ let solve_cmd =
        ~doc:
          "Run the built-in ASP solver on a logic program, or (with \
           --dimacs) the bare CDCL core on a DIMACS CNF file.")
-    Term.(const run $ expr $ file $ dimacs $ proof $ portfolio_flag)
+    Term.(const run $ expr $ file $ dimacs $ proof)
 
 (* ---- discover (automatic ABI discovery, the paper's future work) ---- *)
 
@@ -978,12 +941,10 @@ let serve_cmd =
               no flight recorder.")
   in
   let run reuse splicing workers queue deadline_ms socket horizon recorder
-      no_live ground_jobs trace trace_format =
+      no_live trace trace_format =
     with_trace ~trace ~trace_format @@ fun obs ->
     let opts = options ~reuse ~splicing ~old_encoding:false in
-    let opts =
-      { opts with Core.Concretizer.obs; ground_jobs = max 1 ground_jobs }
-    in
+    let opts = { opts with Core.Concretizer.obs } in
     let config =
       { Core.Serve.default_config with
         Core.Serve.workers;
@@ -1024,7 +985,7 @@ let serve_cmd =
           --shutdown).")
     Term.(const run $ reuse_flag $ splice_flag $ workers_flag $ queue_flag
           $ deadline_flag $ socket_opt $ horizon_flag $ recorder_flag
-          $ no_live_flag $ ground_jobs_flag $ trace_flag $ trace_format_flag)
+          $ no_live_flag $ trace_flag $ trace_format_flag)
 
 let client_cmd =
   let deadline_flag =

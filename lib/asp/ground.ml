@@ -28,9 +28,7 @@ module Arg_tbl = Hashtbl.Make (struct
     ((Hashtbl.hash p * 131) + (a * 8191) + (i * 524287) + Term.hash t) land max_int
 end)
 
-(* Join-index hit/miss tally. The store carries one for the whole
-   grounding; parallel phase-2 workers use private tallies, summed
-   after the join, so counts stay deterministic (no racy increments). *)
+(* Join-index hit/miss tally for the whole grounding. *)
 type tally = { mutable t_hits : int; mutable t_misses : int }
 
 (* Interned atom store. Atoms interned with [~possible:true] can be
@@ -116,7 +114,7 @@ let intern st (a : Ast.atom) ~possible =
    is in descending atom-id order, so the surviving matches enumerate
    in the same order whichever index seeds the join — grounding output
    stays byte-identical. *)
-let candidates ~tally st (pattern : Ast.atom) =
+let candidates st (pattern : Ast.atom) =
   let arity = List.length pattern.Ast.args in
   let best = ref None in
   let empty = ref false in
@@ -132,6 +130,7 @@ let candidates ~tally st (pattern : Ast.atom) =
           | Some b when b.p_n <= p.p_n -> ()
           | _ -> best := Some p))
     pattern.Ast.args;
+  let tally = st.st_tally in
   if !empty then begin
     tally.t_hits <- tally.t_hits + 1;
     []
@@ -188,7 +187,7 @@ exception Stuck_cmp
    not-yet-evaluable comparisons are delayed past the next positive
    literal. Negative literals are handled by [on_neg] (phase 1 ignores
    them; phase 2 records them). *)
-let join ~tally st lits subst ~on_neg ~k =
+let join st lits subst ~on_neg ~k =
   let rec go lits delayed subst negs =
     match lits with
     | [] ->
@@ -217,7 +216,7 @@ let join ~tally st lits subst ~on_neg ~k =
             match match_atom ~pattern:pattern' subst subject with
             | Some subst' -> go rest delayed subst' negs
             | None -> ())
-        (candidates ~tally st pattern')
+        (candidates st pattern')
     | Ast.Cmp (op, l, r) :: rest -> (
       let l' = Term.subst_term subst l and r' = Term.subst_term subst r in
       match (Term.is_ground l', Term.is_ground r') with
@@ -311,7 +310,7 @@ let phase1_run st pseudos by_trigger queue =
           | None -> ()
           | Some subst -> (
             try
-              join ~tally:st.st_tally st rest subst ~on_neg:`Ignore
+              join st rest subst ~on_neg:`Ignore
                 ~k:(fun subst _ ->
                   let h = subst_atom p.phead subst in
                   let hid, fresh = intern st h ~possible:true in
@@ -330,7 +329,7 @@ let phase1_seed st pseudos queue =
       let has_pos = List.exists (function Ast.Pos _ -> true | _ -> false) p.pbody in
       if not has_pos then
         try
-          join ~tally:st.st_tally st p.pbody Term.Smap.empty ~on_neg:`Ignore
+          join st p.pbody Term.Smap.empty ~on_neg:`Ignore
             ~k:(fun subst _ ->
               let h = subst_atom p.phead subst in
               let id, fresh = intern st h ~possible:true in
@@ -346,26 +345,16 @@ let phase1 st prog =
   phase1_seed st pseudos queue;
   phase1_run st pseudos by_trigger queue
 
-(* Phase 2: emit ground statements over the fixed atom set. The
-   emitter abstracts where atoms are interned and where output lands:
-   the serial path writes straight into the store and rule list, and
-   parallel workers write into private overlays merged
-   deterministically afterwards. *)
-type emitter = {
-  em_intern : Ast.atom -> possible:bool -> atom_id;
-  em_rule : grule -> unit;
-  em_min : gmin -> unit;
-  em_tally : tally;
-}
+(* Phase 2: emit ground statements over the fixed atom set. *)
+let atom_id st a ~possible = fst (intern st a ~possible)
 
-let choice_elems st em (elems : Ast.choice_elem list) subst =
+let choice_elems st (elems : Ast.choice_elem list) subst =
   let gelems = ref [] in
   List.iter
     (fun (e : Ast.choice_elem) ->
       try
-        join ~tally:em.em_tally st e.cond subst ~on_neg:`Ignore ~k:(fun subst' _ ->
-            let a = subst_atom e.elem subst' in
-            let id = em.em_intern a ~possible:true in
+        join st e.cond subst ~on_neg:`Ignore ~k:(fun subst' _ ->
+            let id = atom_id st (subst_atom e.elem subst') ~possible:true in
             if not (List.mem id !gelems) then gelems := id :: !gelems)
       with Stuck_cmp -> invalid_arg "grounder: unsafe comparison")
     elems;
@@ -373,32 +362,32 @@ let choice_elems st em (elems : Ast.choice_elem list) subst =
 
 (* Solve [body] from the empty substitution; for every solution, hand
    back the interned positive body and negatives. *)
-let ground_body st em body k =
-  join ~tally:em.em_tally st body Term.Smap.empty ~on_neg:`Record
-    ~k:(fun subst negs ->
-      let pos =
-        List.filter_map
-          (function
-            | Ast.Pos a -> Some (em.em_intern (subst_atom a subst) ~possible:false)
-            | _ -> None)
-          body
-      in
-      (* Positive atoms were matched against possible atoms, so the
-         lookup above finds existing ids. *)
-      let neg = List.map (fun a -> em.em_intern a ~possible:false) negs in
-      k subst pos neg)
+let ground_body st body k =
+  try
+    join st body Term.Smap.empty ~on_neg:`Record ~k:(fun subst negs ->
+        let pos =
+          List.filter_map
+            (function
+              | Ast.Pos a -> Some (atom_id st (subst_atom a subst) ~possible:false)
+              | _ -> None)
+            body
+        in
+        (* Positive atoms were matched against possible atoms, so the
+           lookup above finds existing ids. *)
+        let neg = List.map (fun a -> atom_id st a ~possible:false) negs in
+        k subst pos neg)
+  with Stuck_cmp -> invalid_arg "grounder: unsafe comparison"
 
-let emit_head st em (head : Ast.head) subst pos neg =
+let ground_head st (head : Ast.head) subst pos neg =
   match head with
   | Ast.Head_atom h ->
-    let ghead = Gatom (em.em_intern (subst_atom h subst) ~possible:true) in
-    em.em_rule { ghead; gpos = pos; gneg = neg }
-  | Ast.Head_none -> em.em_rule { ghead = Gconstraint; gpos = pos; gneg = neg }
+    { ghead = Gatom (atom_id st (subst_atom h subst) ~possible:true); gpos = pos; gneg = neg }
+  | Ast.Head_none -> { ghead = Gconstraint; gpos = pos; gneg = neg }
   | Ast.Head_choice { lo; hi; elems } ->
-    let gelems = choice_elems st em elems subst in
-    em.em_rule { ghead = Gchoice { lo; hi; gelems }; gpos = pos; gneg = neg }
+    let gelems = choice_elems st elems subst in
+    { ghead = Gchoice { lo; hi; gelems }; gpos = pos; gneg = neg }
 
-let emit_min em (e : Ast.min_elem) subst pos neg =
+let ground_min (e : Ast.min_elem) subst pos neg =
   let w =
     match Term.subst_term subst e.weight with
     | Term.Int n -> n
@@ -411,20 +400,7 @@ let emit_min em (e : Ast.min_elem) subst pos neg =
          Term.pp)
       (List.map (Term.subst_term subst) e.terms)
   in
-  em.em_min
-    { gweight = w; gpriority = e.priority; gkey = key; gcond_pos = pos; gcond_neg = neg }
-
-let ground_stmt st em (stmt : Ast.statement) =
-  match stmt with
-  | Ast.Rule { head; body } -> (
-    try ground_body st em body (fun subst pos neg -> emit_head st em head subst pos neg)
-    with Stuck_cmp -> invalid_arg "grounder: unsafe comparison")
-  | Ast.Minimize elems ->
-    List.iter
-      (fun (e : Ast.min_elem) ->
-        try ground_body st em e.mcond (fun subst pos neg -> emit_min em e subst pos neg)
-        with Stuck_cmp -> invalid_arg "grounder: unsafe comparison")
-      elems
+  { gweight = w; gpriority = e.priority; gkey = key; gcond_pos = pos; gcond_neg = neg }
 
 (* Bodies of length 0/1 are already sorted; skip the sort allocation —
    at buildcache scale most rules have tiny bodies. *)
@@ -467,142 +443,25 @@ let phase2 st prog =
   let grules = ref [] in
   let gmins = ref [] in
   let seen_rules = Rule_key_tbl.create 65536 in
-  let em =
-    { em_intern = (fun a ~possible -> fst (intern st a ~possible));
-      em_rule =
-        (fun r ->
-          let key = rule_key r in
-          if not (Rule_key_tbl.mem seen_rules key) then begin
-            Rule_key_tbl.add seen_rules key ();
-            grules := r :: !grules
-          end);
-      em_min = (fun m -> gmins := m :: !gmins);
-      em_tally = st.st_tally }
+  let add_rule r =
+    let key = rule_key r in
+    if not (Rule_key_tbl.mem seen_rules key) then begin
+      Rule_key_tbl.add seen_rules key ();
+      grules := r :: !grules
+    end
   in
-  List.iter (ground_stmt st em) prog;
-  (List.rev !grules, List.rev !gmins)
-
-(* Parallel phase 2: statements are partitioned round-robin across
-   domains. The store is frozen during the workers' joins — phase 1
-   over-approximated every derivable head, so workers only ever look
-   atoms up; genuinely new atoms (negative literals over underivable
-   subjects) go to a per-worker overlay with private ids. A serial
-   merge in statement order re-interns overlay atoms in first-use
-   order and re-applies the duplicate-rule filter, which makes the
-   result — ids, rule order, everything — byte-identical to the serial
-   grounding for any number of jobs. *)
-type remit = Rrule of grule | Rmin of gmin
-
-let phase2_par st prog jobs =
-  let stmts = Array.of_list prog in
-  let n = Array.length stmts in
-  let base_n = st.count in
-  let outs = Array.make n [] in
-  let errs = Array.make n None in
-  let ov_atoms = Array.make jobs [||] in
-  let ov_poss = Array.make jobs (Hashtbl.create 0) in
-  let tallies = Array.init jobs (fun _ -> { t_hits = 0; t_misses = 0 }) in
-  let work d =
-    let local_tbl = Ast.Atom_tbl.create 256 in
-    let local_poss = Hashtbl.create 16 in
-    let local_atoms = ref [] in
-    let local_count = ref 0 in
-    let ov_intern (a : Ast.atom) ~possible =
-      match Ast.Atom_tbl.find_opt st.tbl a with
-      | Some id ->
-        if possible && Bytes.get st.possible id = '\000' then
-          Hashtbl.replace local_poss id ();
-        id
-      | None -> (
-        match Ast.Atom_tbl.find_opt local_tbl a with
-        | Some id ->
-          if possible then Hashtbl.replace local_poss id ();
-          id
-        | None ->
-          let id = base_n + !local_count in
-          incr local_count;
-          Ast.Atom_tbl.add local_tbl a id;
-          local_atoms := a :: !local_atoms;
-          if possible then Hashtbl.replace local_poss id ();
-          id)
-    in
-    let si = ref d in
-    while !si < n do
-      let acc = ref [] in
-      let em =
-        { em_intern = ov_intern;
-          em_rule = (fun r -> acc := Rrule r :: !acc);
-          em_min = (fun m -> acc := Rmin m :: !acc);
-          em_tally = tallies.(d) }
-      in
-      (try ground_stmt st em stmts.(!si) with e -> errs.(!si) <- Some e);
-      outs.(!si) <- List.rev !acc;
-      si := !si + jobs
-    done;
-    ov_atoms.(d) <- Array.of_list (List.rev !local_atoms);
-    ov_poss.(d) <- local_poss
-  in
-  let doms = List.init (jobs - 1) (fun k -> Domain.spawn (fun () -> work (k + 1))) in
-  work 0;
-  List.iter Domain.join doms;
-  (* Deterministic merge in statement order. *)
-  let remaps = Array.init jobs (fun d -> Array.make (Array.length ov_atoms.(d)) (-1)) in
-  let grules = ref [] in
-  let gmins = ref [] in
-  let seen_rules = Rule_key_tbl.create 65536 in
-  for si = 0 to n - 1 do
-    (match errs.(si) with Some e -> raise e | None -> ());
-    let d = si mod jobs in
-    let remap id =
-      if id < base_n then id
-      else begin
-        let k = id - base_n in
-        if remaps.(d).(k) >= 0 then remaps.(d).(k)
-        else begin
-          let possible = Hashtbl.mem ov_poss.(d) id in
-          let gid = fst (intern st ov_atoms.(d).(k) ~possible) in
-          remaps.(d).(k) <- gid;
-          gid
-        end
-      end
-    in
-    List.iter
-      (function
-        | Rrule r ->
-          let ghead =
-            match r.ghead with
-            | Gatom id -> Gatom (remap id)
-            | Gchoice { lo; hi; gelems } ->
-              Gchoice { lo; hi; gelems = List.map remap gelems }
-            | Gconstraint -> Gconstraint
-          in
-          let r =
-            { ghead; gpos = List.map remap r.gpos; gneg = List.map remap r.gneg }
-          in
-          let key = rule_key r in
-          if not (Rule_key_tbl.mem seen_rules key) then begin
-            Rule_key_tbl.add seen_rules key ();
-            grules := r :: !grules
-          end
-        | Rmin m ->
-          gmins :=
-            { m with
-              gcond_pos = List.map remap m.gcond_pos;
-              gcond_neg = List.map remap m.gcond_neg }
-            :: !gmins)
-      outs.(si)
-  done;
-  (* Shared atoms a worker wanted promoted to possible (defensive: a
-     phase-1-complete program never hits this). *)
-  Array.iter
-    (fun poss ->
-      Hashtbl.iter (fun id () -> if id < base_n then Bytes.set st.possible id '\001') poss)
-    ov_poss;
-  Array.iter
-    (fun t ->
-      st.st_tally.t_hits <- st.st_tally.t_hits + t.t_hits;
-      st.st_tally.t_misses <- st.st_tally.t_misses + t.t_misses)
-    tallies;
+  List.iter
+    (function
+      | Ast.Rule { head; body } ->
+        ground_body st body (fun subst pos neg ->
+            add_rule (ground_head st head subst pos neg))
+      | Ast.Minimize elems ->
+        List.iter
+          (fun (e : Ast.min_elem) ->
+            ground_body st e.mcond (fun subst pos neg ->
+                gmins := ground_min e subst pos neg :: !gmins))
+          elems)
+    prog;
   (List.rev !grules, List.rev !gmins)
 
 (* Fact propagation (what clingo's grounder does): atoms that are
@@ -715,6 +574,7 @@ let declared_priorities prog =
   |> List.sort_uniq Int.compare
 
 let ground ?(obs = Obs.disabled) ?(jobs = 1) prog =
+  if jobs <> 1 then invalid_arg "Ground.ground: ~jobs must be 1";
   (match Ast.check_safety prog with
   | Ok () -> ()
   | Error e -> invalid_arg ("grounder: " ^ e));
@@ -728,11 +588,8 @@ let ground ?(obs = Obs.disabled) ?(jobs = 1) prog =
   in
   let grules, gmins =
     Obs.with_span obs ~cat:"ground" "ground.phase2" (fun sp ->
-        let grules, gmins =
-          if jobs <= 1 then phase2 st prog else phase2_par st prog jobs
-        in
+        let grules, gmins = phase2 st prog in
         Obs.set_attr sp "rules" (Obs.I (List.length grules));
-        Obs.set_attr sp "jobs" (Obs.I (max 1 jobs));
         (grules, gmins))
   in
   let pre_simplify = List.length grules in

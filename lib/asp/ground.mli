@@ -9,9 +9,9 @@
     that can never hold, and emitting ground rules over interned atom
     ids. A final pass propagates certain atoms to facts.
 
-    Every grounding runs from scratch over the whole program: there is
-    no incremental path, so a caller whose facts change (a buildcache
-    swap) regrounds. *)
+    Every grounding runs from scratch over the whole program, on the
+    calling thread: there is no incremental or parallel path, so a
+    caller whose facts change (a buildcache swap) regrounds. *)
 
 type atom_id = int
 
@@ -37,14 +37,10 @@ val ground : ?obs:Obs.ctx -> ?jobs:int -> Ast.program -> t
     possible-atom fixpoint iteration count, join-index hit/miss
     counters, and ground-rule totals.
 
-    [?jobs] partitions phase-2 instantiation round-robin across that
-    many OCaml domains. Phase 1 fixes the atom set first, so workers
-    only read the shared store; atoms they must create (negative
-    literals over underivable subjects) go to private overlays, and a
-    serial merge in statement order re-interns them in first-use order
-    and re-applies duplicate-rule filtering. The result is
-    byte-identical to [jobs:1] — same atom ids, same rule order — for
-    any job count. *)
+    [?jobs] accepts only [1] and raises [Invalid_argument] for any
+    other value. It stays only because perfbench's concretize workload
+    ([wl_concretize.ml]) still passes [~jobs:1]; ROADMAP's benchmark
+    step drops that argument, and this label goes with it. *)
 
 val rules : t -> grule list
 

@@ -418,24 +418,8 @@ let current_model ctx ~costs ~sat_stats =
    clausing an activation literal false merely retires its constraint.
    Returns the per-priority costs of the optimal model (left loaded in
    the SAT core), or [None] when UNSAT under [assumptions]. *)
-let optimize ?(portfolio = 1) ctx objectives ~assumptions =
-  (* Only the initial (pre-descent) stable solve is raced: it carries
-     the bulk of the search, and under the byte-identity election rule
-     racers contribute UNSAT verdicts only — the primary's own model
-     and learnt state are untouched. The descent probes below must run
-     single: their learnt clauses are the baseline every later solve
-     of this session builds on, so seeding them from a race would make
-     costs depend on scheduling. *)
-  let initial_stable () =
-    if portfolio <= 1 then solve_stable ctx ~assumptions
-    else begin
-      Sat.set_portfolio ctx.sat (Some (Sat.portfolio portfolio));
-      Fun.protect
-        ~finally:(fun () -> Sat.set_portfolio ctx.sat None)
-        (fun () -> solve_stable ctx ~assumptions)
-    end
-  in
-  if not (initial_stable ()) then None
+let optimize ctx objectives ~assumptions =
+  if not (solve_stable ctx ~assumptions) then None
   else begin
     (* Activation literals of the freezes accumulated this request. *)
     let frozen = ref [] in
@@ -495,10 +479,11 @@ let optimize ?(portfolio = 1) ctx objectives ~assumptions =
   end
 
 let solve ?(certify = false) ?(obs = Obs.disabled) ?budget ?(portfolio = 1) g =
+  if portfolio <> 1 then invalid_arg "Logic.solve: ~portfolio must be 1";
   let ctx = translate ~certify ~obs g in
   Sat.set_budget ctx.sat budget;
   let objectives = build_objectives ctx in
-  match optimize ~portfolio ctx objectives ~assumptions:[] with
+  match optimize ctx objectives ~assumptions:[] with
   | None -> Unsat (Sat.proof ctx.sat)
   | Some costs ->
     Sat (current_model ctx ~costs ~sat_stats:(Sat.stats ctx.sat))
@@ -508,17 +493,12 @@ let solve ?(certify = false) ?(obs = Obs.disabled) ?budget ?(portfolio = 1) g =
 type session = {
   s_ctx : ctx;
   s_objectives : objective list;
-  s_portfolio : int;
   mutable s_solves : int;
 }
 
-let session_create ?(certify = false) ?(obs = Obs.disabled) ?(portfolio = 1) g
-    =
+let session_create ?(certify = false) ?(obs = Obs.disabled) g =
   let ctx = translate ~certify ~obs g in
-  { s_ctx = ctx;
-    s_objectives = build_objectives ctx;
-    s_portfolio = portfolio;
-    s_solves = 0 }
+  { s_ctx = ctx; s_objectives = build_objectives ctx; s_solves = 0 }
 
 let session_ground s = s.s_ctx.g
 
@@ -547,7 +527,7 @@ let session_solve s ~assume =
   | exception Unknown_true_assumption -> Unsat None
   | assumptions -> (
     let before = Sat.stats ctx.sat in
-    match optimize ~portfolio:s.s_portfolio ctx s.s_objectives ~assumptions with
+    match optimize ctx s.s_objectives ~assumptions with
     | None -> Unsat (Sat.proof ctx.sat)
     | Some costs ->
       let delta = Sat.stats_delta ~before ctx.sat in

@@ -47,13 +47,11 @@ val solve :
     bound, outcome), stable-check counters, and the SAT core's
     per-restart histograms. [?budget] installs a preemption budget on
     the underlying solver ({!Sat.budget}); exhaustion raises
-    {!Sat.Timeout}. [?portfolio] (default 1) races that many
-    diversified solver clones on the initial stable solve — the phase
-    that dominates hard instances — under the byte-identity election
-    rule ({!Sat.portfolio}): results, models and costs are identical
-    to a single-solver run; only wall time changes. The
-    optimization descent itself always runs single, since its learnt
-    state seeds later solves. *)
+    {!Sat.Timeout}. [?portfolio] accepts only [1] and raises
+    [Invalid_argument] for any other value. It stays only because
+    perfbench's concretize workload ([wl_concretize.ml]) still passes
+    [~portfolio:1]; ROADMAP's benchmark step drops that argument, and
+    this label goes with it. *)
 
 (** {2 Incremental sessions}
 
@@ -72,13 +70,10 @@ val solve :
 type session
 
 val session_create :
-  ?certify:bool -> ?obs:Obs.ctx -> ?portfolio:int -> Ground.t -> session
+  ?certify:bool -> ?obs:Obs.ctx -> Ground.t -> session
 (** [?obs] traces the one-time translation and then every
     {!session_solve} as a [session.solve] span carrying that
-    request's solver-stat deltas. [?portfolio] (default 1) races the
-    initial stable solve of every {!session_solve} across that many
-    diversified clones, with outcomes byte-identical to a
-    single-solver session (see {!solve}). *)
+    request's solver-stat deltas. *)
 
 val session_solve : session -> assume:(Ast.atom * bool) list -> outcome
 (** Solve for the optimal stable model consistent with the assumed

@@ -66,16 +66,9 @@ module Vec = struct
     done;
     v.len <- n
 
-  let copy v = { data = Array.copy v.data; len = v.len; dummy = v.dummy }
-
-  (* For immutable record fields holding a Vec: overwrite in place. *)
-  let copy_into src dst =
-    dst.data <- Array.copy src.data;
-    dst.len <- src.len
 end
 
-(* Per-solve preemption budget and portfolio request (documented in
-   sat.mli). *)
+(* Per-solve preemption budget (documented in sat.mli). *)
 type budget = {
   b_conflicts : int option;
   b_stop : (unit -> bool) option;
@@ -84,60 +77,6 @@ type budget = {
 let stop_poll_interval = 32
 
 exception Timeout
-
-type portfolio = {
-  pf_n : int;
-  pf_first_model : bool;
-  pf_exchange : bool;
-}
-
-let portfolio ?(first_model = false) ?(exchange = true) n =
-  { pf_n = n; pf_first_model = first_model; pf_exchange = exchange }
-
-(* Per-rank summary of a portfolio race, kept for stats reporting. *)
-type portfolio_report = {
-  pr_winner : int;                   (* winning rank; -1 = none *)
-  pr_winner_config : string;
-  pr_sat : bool;
-  pr_domains : (string * int) array; (* per rank: config name, conflicts *)
-}
-
-(* Bounded single-writer broadcast ring for learnt-clause exchange.
-   Each racer owns one ring it publishes into; readers keep private
-   cursors and clamp to [head - cap] on overrun. Slots hold immutable
-   int arrays swapped whole through [Atomic], so a reader never sees a
-   torn clause: a lapped read returns some *newer* published clause,
-   which is still a sound lemma of the shared formula (importing a
-   clause twice, or a different one, cannot change the verdict). *)
-module Ring = struct
-  type t = {
-    slots : int array Atomic.t array;
-    head : int Atomic.t;             (* total clauses ever published *)
-    cap : int;
-  }
-
-  let create cap =
-    { slots = Array.init cap (fun _ -> Atomic.make [||]);
-      head = Atomic.make 0;
-      cap }
-
-  let publish r cl =
-    let h = Atomic.get r.head in
-    Atomic.set r.slots.(h mod r.cap) cl;
-    (* Single writer: a plain increment published with a seq-cst store,
-       so the slot write above is visible before the head moves. *)
-    Atomic.set r.head (h + 1)
-
-  let drain r cursor f =
-    let h = Atomic.get r.head in
-    let c = max !cursor (h - r.cap) in
-    for i = c to h - 1 do
-      f (Atomic.get r.slots.(i mod r.cap))
-    done;
-    cursor := h
-
-  let pending r cursor = Atomic.get r.head > !cursor
-end
 
 type pb = {
   wlits : (int * lit) array;  (* (weight, lit), sorted by weight desc *)
@@ -211,8 +150,6 @@ type t = {
   c_removed : Obs.Stats.counter;
   c_minimized : Obs.Stats.counter;
   c_rephases : Obs.Stats.counter;
-  c_exchanged_in : Obs.Stats.counter;
-  c_exchanged_out : Obs.Stats.counter;
   mutable obs : Obs.ctx;
   mutable at_restart : int * int * int; (* conflicts, decisions, props *)
   (* scratch for analysis *)
@@ -238,12 +175,7 @@ type t = {
   mutable next_rephase : int;
   mutable rephase_interval : int;
   mutable rephase_kind : int;        (* cycles target/inverted/random/reset *)
-  mutable rng : int;                 (* xorshift state; per-config seed *)
-  (* portfolio *)
-  mutable portfolio : portfolio option;
-  mutable pf_report : portfolio_report option;
-  mutable exch_out : Ring.t option;  (* ring this solver publishes into *)
-  mutable exch_in : (Ring.t * int ref) array; (* lower-rank rings + cursors *)
+  mutable rng : int;                 (* xorshift state for random phases *)
 }
 
 let create () =
@@ -259,8 +191,6 @@ let create () =
   let c_removed = Obs.Stats.counter stat_set "removed" in
   let c_minimized = Obs.Stats.counter stat_set "minimized" in
   let c_rephases = Obs.Stats.counter stat_set "rephases" in
-  let c_exchanged_in = Obs.Stats.counter stat_set "exchanged_in" in
-  let c_exchanged_out = Obs.Stats.counter stat_set "exchanged_out" in
   { nvars = 0;
     assign = Bytes.create 0;
     level = [||];
@@ -300,8 +230,6 @@ let create () =
     c_removed;
     c_minimized;
     c_rephases;
-    c_exchanged_in;
-    c_exchanged_out;
     obs = Obs.disabled;
     at_restart = (0, 0, 0);
     seen = Bytes.create 0;
@@ -321,11 +249,7 @@ let create () =
     next_rephase = 1000;
     rephase_interval = 1000;
     rephase_kind = 0;
-    rng = 0x9E3779B9;
-    portfolio = None;
-    pf_report = None;
-    exch_out = None;
-    exch_in = [||] }
+    rng = 0x9E3779B9 }
 
 let nvars s = s.nvars
 
@@ -341,10 +265,6 @@ let log_step s step =
 let hook_drop_pb = ref false
 
 let set_budget s b = s.budget <- b
-
-let set_portfolio s pf = s.portfolio <- pf
-
-let last_portfolio s = s.pf_report
 
 (* Arena-learnt count that triggers [reduce_db]; tests lower it to
    force reductions on small instances. *)
@@ -1224,59 +1144,6 @@ let rephase s =
   s.rephase_interval <- s.rephase_interval + (s.rephase_interval / 2);
   s.next_rephase <- s.conflict_count + s.rephase_interval
 
-(* -- portfolio clause exchange ------------------------------------- *)
-
-(* Install one imported clause at level 0. The publisher logged it as
-   [P_derived] in its own stream; rank ordering of the merged
-   certificate guarantees that step precedes this one, so re-deriving
-   it here (possibly shortened by level-0 units) is RUP. A clause
-   already satisfied at level 0 is skipped without a proof step. *)
-let import_one s cl =
-  if s.ok && not (Array.exists (fun l -> lit_value s l = 1) cl) then begin
-    let lits =
-      Array.to_list cl |> List.filter (fun l -> lit_value s l <> 2)
-    in
-    Obs.Stats.incr s.c_exchanged_in;
-    log_step s (P_derived lits);
-    match lits with
-    | [] ->
-      log_step s (P_derived []);
-      s.ok <- false
-    | [ l ] -> (
-      match lit_value s l with
-      | 0 -> (
-        enqueue s l r_none;
-        match propagate s with
-        | Some _ ->
-          log_step s (P_derived []);
-          s.ok <- false
-        | None -> ())
-      | _ -> ())
-    | [ a; b ] ->
-      attach_binary s a b;
-      s.n_learnts <- s.n_learnts + 1
-    | _ ->
-      let arr = Array.of_list lits in
-      (* Imports passed the exporter's glue filter: pin them near the
-         glue tier so reduction keeps them around. *)
-      let cref = alloc_clause s arr ~learnt:true ~lbd:2 in
-      Vec.push s.learnts cref;
-      s.n_learnts <- s.n_learnts + 1;
-      s.n_arena_learnts <- s.n_arena_learnts + 1;
-      attach_cref s cref
-  end
-
-let import_clauses s =
-  Array.iter
-    (fun (ring, cursor) -> Ring.drain ring cursor (fun cl -> import_one s cl))
-    s.exch_in
-
-(* The restart-boundary step, entered at decision level 0: drain
-   portfolio imports, then rephase when the growing schedule says so. *)
-let restart_step s =
-  import_clauses s;
-  if s.ok && s.conflict_count >= s.next_rephase then rephase s
-
 (* -- search -------------------------------------------------------- *)
 
 let pick_branch_var s =
@@ -1343,7 +1210,7 @@ let learn_lbd s lbd =
   s.ema_slow <- s.ema_slow +. ((f -. s.ema_slow) *. ema_slow_alpha);
   if Obs.enabled s.obs then Obs.observe s.obs "sat.lbd" f
 
-let solve_single ?(assumptions = []) s =
+let solve ?(assumptions = []) s =
   if not s.ok then false
   else begin
     cancel_until s 0;
@@ -1382,13 +1249,6 @@ let solve_single ?(assumptions = []) s =
              let learnt, btlevel, lbd = analyze s confl in
              cancel_until s btlevel;
              log_step s (P_derived (Array.to_list learnt));
-             (match s.exch_out with
-             | Some ring when lbd <= 2 && Array.length learnt <= 8 ->
-               (* [learnt] is never mutated after this point, so it can
-                  cross domains as an immutable payload. *)
-               Ring.publish ring learnt;
-               Obs.Stats.incr s.c_exchanged_out
-             | _ -> ());
              learn_lbd s lbd;
              (match Array.length learnt with
              | 0 ->
@@ -1433,19 +1293,11 @@ let solve_single ?(assumptions = []) s =
                Obs.Stats.incr s.c_restarts;
                note_restart s;
                since_restart := 0;
-               let have_imports =
-                 s.exch_in <> [||]
-                 && Array.exists
-                      (fun (r, cur) -> Ring.pending r cur)
-                      s.exch_in
-               in
-               if have_imports || s.conflict_count >= s.next_rephase
-               then begin
-                 (* The step runs at level 0; any assumptions are
-                    re-placed by the [dl < nassum] branch below. *)
+               if s.conflict_count >= s.next_rephase then begin
+                 (* Rephase at level 0; any assumptions are re-placed by
+                    the [dl < nassum] branch below. *)
                  cancel_until s 0;
-                 restart_step s;
-                 if not s.ok then raise Unsat_exc
+                 rephase s
                end
                else cancel_until s (min (decision_level s) nassum)
              end
@@ -1493,246 +1345,6 @@ let solve_single ?(assumptions = []) s =
       match !result with Some r -> r | None -> assert false
     end
   end
-
-(* -- portfolio ----------------------------------------------------- *)
-
-(* Deep copy of the solver at decision level 0. Proof streams share the
-   prefix (persistent lists only ever grow at the head), PB records are
-   duplicated so [sum_true] diverges per clone, and the clone gets
-   fresh counters, no budget and no observability. *)
-let clone s =
-  let c = create () in
-  c.nvars <- s.nvars;
-  c.assign <- Bytes.copy s.assign;
-  c.level <- Array.copy s.level;
-  c.reason <- Array.copy s.reason;
-  (* PB explanation arrays are written whole, never mutated in place,
-     so sharing the inner arrays is safe. *)
-  c.pb_reason <- Array.copy s.pb_reason;
-  c.activity <- Array.copy s.activity;
-  c.act_gen <- Array.copy s.act_gen;
-  c.gen <- s.gen;
-  c.phase <- Bytes.copy s.phase;
-  c.watches <- Array.map Vec.copy s.watches;
-  let tbl = Hashtbl.create 64 in
-  c.pbs <-
-    List.map
-      (fun pb ->
-        let pb' = { pb with sum_true = pb.sum_true } in
-        Hashtbl.replace tbl pb.origin pb';
-        pb')
-      s.pbs;
-  c.pb_watch <-
-    Array.map
-      (List.map (fun (pb, w) -> (Hashtbl.find tbl pb.origin, w)))
-      s.pb_watch;
-  c.model <- Bytes.copy s.model;
-  Vec.copy_into s.trail c.trail;
-  Vec.copy_into s.trail_lim c.trail_lim;
-  c.qhead <- s.qhead;
-  c.arena <- Array.copy s.arena;
-  c.arena_top <- s.arena_top;
-  c.wasted <- s.wasted;
-  Vec.copy_into s.clauses c.clauses;
-  c.learnts <- Vec.copy s.learnts;
-  c.n_clauses <- s.n_clauses;
-  c.n_learnts <- s.n_learnts;
-  c.n_arena_learnts <- s.n_arena_learnts;
-  c.var_inc <- s.var_inc;
-  c.ok <- s.ok;
-  c.heap <- Array.copy s.heap;
-  c.heap_len <- s.heap_len;
-  c.heap_pos <- Array.copy s.heap_pos;
-  c.seen <- Bytes.copy s.seen;
-  c.lbd_mark <- Array.copy s.lbd_mark;
-  c.lbd_stamp <- s.lbd_stamp;
-  c.ema_fast <- s.ema_fast;
-  c.ema_slow <- s.ema_slow;
-  c.conflict_count <- s.conflict_count;
-  c.max_learnts <- s.max_learnts;
-  c.proof <- s.proof;
-  c.n_pb_inputs <- s.n_pb_inputs;
-  c.target_phase <- Bytes.copy s.target_phase;
-  c.best_trail <- s.best_trail;
-  c.next_rephase <- s.next_rephase;
-  c.rephase_interval <- s.rephase_interval;
-  c.rephase_kind <- s.rephase_kind;
-  c.rng <- s.rng;
-  c
-
-let config_name = function
-  | 0 -> "default"
-  | 1 -> "pos-phase"
-  | 2 -> "rand-phase+fast-rephase"
-  | rank -> Printf.sprintf "rand-phase/seed%d" rank
-
-(* Rank 0 is the caller's own solver, untouched: the race preserves the
-   single-solver trajectory exactly. Rank 1 starts from positive
-   phases, rank 2 from random phases with a short rephase interval, and
-   every higher rank from random phases under its own seed. *)
-let diversify s rank =
-  s.rng <- xorshift (0x9E3779B9 lxor ((rank * 0x5851F42D) land max_int));
-  match rank with
-  | 0 -> ()
-  | 1 -> Bytes.fill s.phase 0 s.nvars '\001'
-  | 2 ->
-    random_phases s;
-    s.rephase_interval <- 500;
-    s.next_rephase <- min s.next_rephase (s.conflict_count + 500)
-  | _ -> random_phases s
-
-(* Steps a racer appended after [base] (its shared clone-time prefix),
-   oldest-first. Deletions are dropped: a clause one stream deleted may
-   still be imported by a later stream, and the checker needs deletions
-   only for speed, never for soundness. *)
-let segment_after ~base l =
-  let rec go acc l =
-    if l == base then acc
-    else
-      match l with
-      | [] -> acc
-      | P_delete _ :: tl -> go acc tl
-      | st :: tl -> go (st :: acc) tl
-  in
-  go [] l
-
-let solve_portfolio ~assumptions s pf =
-  if not s.ok then false
-  else begin
-    (* Normalize to a clean level-0 state before cloning. *)
-    cancel_until s 0;
-    (match propagate s with
-    | Some _ ->
-      log_step s (P_derived []);
-      s.ok <- false
-    | None -> ());
-    if not s.ok then false
-    else begin
-      let n = min (max 2 pf.pf_n) 16 in
-      let base_proof = match s.proof with Some l -> l | None -> [] in
-      let have_proof = s.proof <> None in
-      let c0 = Obs.Stats.value s.c_conflicts in
-      let solvers = Array.init n (fun i -> if i = 0 then s else clone s) in
-      let rings = Array.map (fun _ -> Ring.create 2048) solvers in
-      for i = 0 to n - 1 do
-        let si = solvers.(i) in
-        if i > 0 then diversify si i;
-        si.pf_report <- None;
-        if pf.pf_exchange then begin
-          si.exch_out <- Some rings.(i);
-          (* Rank i imports only from ranks < i: in the merged
-             certificate every import is preceded by its derivation. *)
-          si.exch_in <- Array.init i (fun j -> (rings.(j), ref 0))
-        end
-      done;
-      let stop = Atomic.make false in
-      let winner = Atomic.make (-1) in
-      let results : bool option array = Array.make n None in
-      let user_budget = s.budget in
-      solvers.(0).budget <-
-        Some
-          { b_conflicts =
-              (match user_budget with
-              | Some b -> b.b_conflicts
-              | None -> None);
-            b_stop =
-              Some
-                (fun () ->
-                  Atomic.get stop
-                  || (match user_budget with
-                     | Some { b_stop = Some f; _ } -> f ()
-                     | _ -> false)) };
-      for i = 1 to n - 1 do
-        solvers.(i).budget <-
-          Some
-            { b_conflicts = None;
-              b_stop = Some (fun () -> Atomic.get stop) }
-      done;
-      let run i =
-        let si = solvers.(i) in
-        let verdict =
-          try Some (solve_single ~assumptions si)
-          with Timeout -> None
-        in
-        results.(i) <- verdict;
-        match verdict with
-        | Some r ->
-          (* Under the byte-identity rule only the primary may claim a
-             SAT win; racers contribute UNSAT verdicts only. *)
-          let may_win = (not r) || pf.pf_first_model || i = 0 in
-          if may_win && Atomic.compare_and_set winner (-1) i then
-            Atomic.set stop true
-        | None -> ()
-      in
-      let domains =
-        Array.init (n - 1) (fun k -> Domain.spawn (fun () -> run (k + 1)))
-      in
-      run 0;
-      Atomic.set stop true;
-      Array.iter Domain.join domains;
-      s.budget <- user_budget;
-      Array.iter
-        (fun si ->
-          si.exch_out <- None;
-          si.exch_in <- [||])
-        solvers;
-      let w = Atomic.get winner in
-      for i = 1 to n - 1 do
-        Obs.Stats.add s.c_exchanged_in
-          (Obs.Stats.value solvers.(i).c_exchanged_in);
-        Obs.Stats.add s.c_exchanged_out
-          (Obs.Stats.value solvers.(i).c_exchanged_out)
-      done;
-      s.pf_report <-
-        Some
-          { pr_winner = w;
-            pr_winner_config = (if w < 0 then "none" else config_name w);
-            pr_sat = w >= 0 && results.(w) = Some true;
-            pr_domains =
-              Array.init n (fun i ->
-                  let spent =
-                    if i = 0 then Obs.Stats.value s.c_conflicts - c0
-                    else Obs.Stats.value solvers.(i).c_conflicts
-                  in
-                  (config_name i, spent)) };
-      if w < 0 then
-        (* Everyone was preempted: surface the primary's budget
-           exhaustion exactly as a single-solver run would. *)
-        raise Timeout
-      else if w = 0 then
-        match results.(0) with Some r -> r | None -> assert false
-      else begin
-        let rs = solvers.(w) in
-        match results.(w) with
-        | Some true ->
-          (* first-model rule: adopt the racer's model. *)
-          Bytes.blit rs.model 0 s.model 0 s.nvars;
-          true
-        | Some false ->
-          (* Merge the certificate: the shared prefix stays in place,
-             then each stream's private segment in rank order up to and
-             including the winner (whose segment ends in the empty
-             clause). *)
-          if have_proof then begin
-            let merged =
-              Array.to_list (Array.sub solvers 0 (w + 1))
-              |> List.concat_map (fun si ->
-                     segment_after ~base:base_proof
-                       (match si.proof with Some l -> l | None -> []))
-            in
-            s.proof <- Some (List.rev_append merged base_proof)
-          end;
-          s.ok <- rs.ok;
-          false
-        | None -> assert false
-      end
-    end
-  end
-
-let solve ?(assumptions = []) s =
-  match s.portfolio with
-  | Some pf when pf.pf_n > 1 -> solve_portfolio ~assumptions s pf
-  | _ -> solve_single ~assumptions s
 
 let value s v = Bytes.get s.model v = '\001'
 

@@ -9,7 +9,8 @@
     constraints [sum of w_i over true literals <= bound] (used for
     choice-rule cardinality bounds and optimization descent).
 
-    There is one search configuration. Restarts follow glucose's EMA
+    There is one search configuration, and {!solve} runs it on the
+    calling thread. Restarts follow glucose's EMA
     policy: restart when the fast moving average of learnt-clause LBDs
     runs 1.25x above the slow one. At restart boundaries, on a growing
     conflict schedule, the solver rephases: it cycles its saved phases
@@ -49,62 +50,7 @@ exception Timeout
     phases intact, so it (and any session built on it) remains fully
     reusable — a preempted request costs nothing but its own time. *)
 
-(** Portfolio mode: {!solve} races [pf_n] clones of the same solver
-    state, diversified by initial phases, rephase interval and seed,
-    exchanging low-LBD learnt clauses through a bounded lock-free ring.
-    The first verdict wins and the winner's proof stream is merged into
-    the primary's certificate.
-
-    [pf_first_model] selects the model-election rule:
-    - [false] (the byte-identity rule used by {!Logic}): only the
-      primary solver — rank 0, the caller's own solver object, which
-      imports no foreign clauses — may report SAT, so the model (and
-      every downstream tie-break) is byte-identical to a single-solver
-      run. Racers contribute UNSAT verdicts only.
-    - [true] (DIMACS/bench rule): the first verdict of either sign wins
-      and a winning racer's model is copied into the primary. The
-      verdict is still deterministic; the particular model is not
-      promised to match a single-solver run.
-
-    [pf_exchange] gates learnt-clause exchange (on by default; off is
-    useful for measuring the channel's contribution). *)
-type portfolio = {
-  pf_n : int;
-  pf_first_model : bool;
-  pf_exchange : bool;
-}
-
-val portfolio : ?first_model:bool -> ?exchange:bool -> int -> portfolio
-(** [portfolio n]: race [n] lanes; [first_model] defaults to [false]
-    (byte-identity rule), [exchange] to [true]. *)
-
-(** Outcome summary of the last portfolio race on a solver. *)
-type portfolio_report = {
-  pr_winner : int;  (** winning rank; -1 = every lane preempted *)
-  pr_winner_config : string;
-  pr_sat : bool;
-  pr_domains : (string * int) array;
-      (** per rank: configuration name, conflicts spent in the race *)
-}
-
 val create : unit -> t
-
-val set_portfolio : t -> portfolio option -> unit
-(** Race [pf_n] diversified clones of this solver on every subsequent
-    {!solve} call (capped at 16; [pf_n <= 1] solves normally). Rank 0
-    is this very solver, untouched; under the default byte-identity
-    rule ([pf_first_model = false]) only it may report SAT, so models
-    and downstream tie-breaks match a single-solver run bit for bit,
-    while racers contribute early UNSAT verdicts whose proofs are
-    merged into this solver's certificate. *)
-
-val last_portfolio : t -> portfolio_report option
-(** Report of the most recent race, or [None] if the last [solve] ran
-    single. *)
-
-val clone : t -> t
-(** Deep copy at decision level 0 (exposed for tests). The copy shares
-    the immutable proof prefix and nothing mutable. *)
 
 val set_reduce_interval : t -> int -> unit
 (** Arena-learnt count that triggers the next [reduce_db] (default
@@ -198,9 +144,8 @@ val stats : t -> (string * int) list
 (** Counters: conflicts, decisions, propagations, learned clauses,
     restarts, reduces (learnt-DB reductions), removed (clauses deleted
     by reduction), minimized (literals stripped by clause
-    minimization), rephases, exchanged_in/exchanged_out (portfolio clause
-    traffic, aggregated across the race's lanes); plus gauges: clauses,
-    pbs, vars, learnt_db, arena_words. Stored in an {!Obs.Stats} set;
+    minimization), rephases; plus gauges: clauses, pbs, vars,
+    learnt_db, arena_words. Stored in an {!Obs.Stats} set;
     this accessor is a snapshot shim. *)
 
 val stats_delta : before:(string * int) list -> t -> (string * int) list

@@ -8,8 +8,6 @@ type options = {
   certify : bool;
   prune : bool;
   verify : bool;
-  ground_jobs : int;
-  portfolio : int;
   obs : Obs.ctx;
 }
 
@@ -23,8 +21,6 @@ let default_options =
     certify = false;
     prune = true;
     verify = false;
-    ground_jobs = 1;
-    portfolio = 1;
     obs = Obs.disabled }
 
 (* The reusable pool a degraded solve actually sees: the explicit specs
@@ -185,14 +181,13 @@ let concretize_v ~repo ?(options = default_options) ?budget ?closure
   let t1 = now () in
   let ground =
     Obs.with_span obs ~cat:"concretize" "ground" (fun _ ->
-        Asp.Ground.ground ~obs ~jobs:options.ground_jobs statements)
+        Asp.Ground.ground ~obs statements)
   in
   let t2 = now () in
   let result =
     match
       Obs.with_span obs ~cat:"concretize" "solve" (fun _ ->
-          Asp.Logic.solve ~certify:options.certify ~obs ?budget
-            ~portfolio:options.portfolio ground)
+          Asp.Logic.solve ~certify:options.certify ~obs ?budget ground)
     with
     | r -> Some r
     | exception Asp.Sat.Timeout -> None
@@ -262,10 +257,6 @@ let pp_stats fmt s =
   if sat "minimized" > 0 then Format.fprintf fmt " min_lits=%d" (sat "minimized");
   (* Rephasing runs at restart boundaries only; omitted when none fired. *)
   if sat "rephases" > 0 then Format.fprintf fmt " rephases=%d" (sat "rephases");
-  (* Portfolio clause traffic, nonzero only on raced solves. *)
-  if sat "exchanged_in" > 0 || sat "exchanged_out" > 0 then
-    Format.fprintf fmt " exchanged=%d/%d" (sat "exchanged_in")
-      (sat "exchanged_out");
   match s.verify_violations with
   | None -> ()
   | Some 0 -> Format.fprintf fmt " verify=ok"
@@ -333,7 +324,7 @@ module Session = struct
     in
     let ground =
       Obs.with_span obs ~cat:"concretize" "ground" (fun _ ->
-          Asp.Ground.ground ~obs ~jobs:options.ground_jobs statements)
+          Asp.Ground.ground ~obs statements)
     in
     { p_env = env;
       p_pool = encoded.Encode.pool;
@@ -346,8 +337,7 @@ module Session = struct
   let of_program ~repo ~options ~t0 p =
     let g = p.p_ground in
     let session =
-      Asp.Logic.session_create ~certify:options.certify ~obs:options.obs
-        ~portfolio:options.portfolio g
+      Asp.Logic.session_create ~certify:options.certify ~obs:options.obs g
     in
     { repo;
       options;

@@ -5,7 +5,9 @@
     ASP facts ({!Encode}), join them with the logic program
     ({!Program}), ground and solve for the optimal stable model
     ({!Asp}), and interpret the model back into concrete specs
-    ({!Decode}).
+    ({!Decode}). As in Spack, each request is grounded once and solved
+    once, on the calling domain; only {!concretize_batch} spreads
+    independent requests over domains.
 
     Knobs map one-to-one onto the paper's experimental axes (§6.1.4):
     the reusable-spec [encoding] (old vs hash_attr), whether automatic
@@ -39,19 +41,6 @@ type options = {
           option (not keyed off tracing being enabled) so overhead
           comparisons of the tracing layer are not polluted by
           verification cost. *)
-  ground_jobs : int;
-      (** partition the grounder's phase-2 instantiation across this
-          many OCaml 5 domains ({!Asp.Ground.ground}'s [jobs]); the
-          ground program is byte-identical for any value. Applies to
-          every grounding: one-shot solves, {!Session} and {!Warm};
-          default 1. *)
-  portfolio : int;
-      (** race the initial stable solve of every request across this
-          many SAT-solver clones diversified by initial phases, rephase
-          interval and seed, exchanging low-LBD learnt clauses; default 1 (single solver). Results — models, costs,
-          tie-breaks, proofs' verdicts — are byte-identical to a
-          single-solver run under {!Asp.Logic}'s election rule; only
-          wall time changes. *)
   obs : Obs.ctx;
       (** tracing context ({!Obs.disabled} by default): when enabled,
           every request emits a [concretize] span with child

@@ -29,7 +29,7 @@ let pool_size pool = Hashtbl.length pool.by_hash
 
 let pool_digest specs =
   List.map Spec.Concrete.dag_hash specs
-  |> List.sort String.compare
+  |> List.sort_uniq String.compare
   |> String.concat "\n"
   |> Chash.hash_string
 

@@ -39,9 +39,9 @@ val pool_of_specs : Spec.Concrete.t list -> reuse_pool
 val pool_size : reuse_pool -> int
 
 val pool_digest : Spec.Concrete.t list -> string
-(** Content digest of a buildcache: a {!Chash} hash over the sorted DAG
-    hashes of its specs, so the same specs in any order have the same
-    digest. The solve server keys its closure-cache generation on
+(** Content digest of a buildcache: a {!Chash} hash over the sorted,
+    deduplicated DAG hashes of its specs, so the same spec set has the
+    same digest whatever the order or repeats. The solve server keys its closure-cache generation on
     it, and {!Concretizer.Warm.set_pool} uses it to skip a reground
     when the pool did not change. *)
 

@@ -249,6 +249,30 @@ let test_negative_literal_on_impossible_atom () =
   (* q can never hold, so p must be derivable. *)
   check_atoms "impossible negative" "p :- not q." [ "p" ]
 
+(* [Ground.ground ~jobs] and [Logic.solve ~portfolio] remain only as
+   labels perfbench's concretize workload passes: 1 is the call without
+   the label, anything else is refused. *)
+let test_compat_labels () =
+  let prog =
+    Asp.parse
+      "p(1). p(2). { q(X) : p(X) } 1. r :- not q(1). #minimize { 1@1,X : q(X) }."
+  in
+  let render g = Format.asprintf "%a" Asp.Ground.pp g in
+  let g = Asp.Ground.ground prog in
+  Alcotest.(check string) "~jobs:1 is the plain grounding" (render g)
+    (render (Asp.Ground.ground ~jobs:1 prog));
+  Alcotest.check_raises "~jobs:2 refused"
+    (Invalid_argument "Ground.ground: ~jobs must be 1") (fun () ->
+      ignore (Asp.Ground.ground ~jobs:2 prog));
+  let outcome r = (atoms_of r, costs_of r) in
+  Alcotest.(check (pair (list string) (list (pair int int))))
+    "~portfolio:1 is the plain solve"
+    (outcome (Asp.Logic.solve g))
+    (outcome (Asp.Logic.solve ~portfolio:1 g));
+  Alcotest.check_raises "~portfolio:2 refused"
+    (Invalid_argument "Logic.solve: ~portfolio must be 1") (fun () ->
+      ignore (Asp.Logic.solve ~portfolio:2 g))
+
 (* ---- brute-force stable-model fuzz ---- *)
 
 (* A generated program: [nvars] atoms a0..a(nvars-1), an unconditional
@@ -412,7 +436,8 @@ let () =
           Alcotest.test_case "distinct tuples" `Quick test_minimize_distinct_tuples;
           Alcotest.test_case "show ignored" `Quick test_show_ignored ] );
       ( "grounder",
-        [ Alcotest.test_case "counts" `Quick test_grounding_counts ] );
+        [ Alcotest.test_case "counts" `Quick test_grounding_counts;
+          Alcotest.test_case "compat labels" `Quick test_compat_labels ] );
       ( "enumeration",
         [ Alcotest.test_case "all models" `Quick test_enumerate_all;
           Alcotest.test_case "false choice element" `Quick test_false_choice_element;

@@ -145,56 +145,7 @@ let prop_session_parity =
                   "request %s: session SAT but fresh failed: %s" r f.CC.f_message)
             u.Fuzz.Gen.u_requests)
 
-(* ---- 2b. portfolio vs single-solver solves ---- *)
-
-(* The byte-identity promise of [options.portfolio]: a raced solve must
-   return the same solvability, the same optimal costs, and the same
-   solution DAG (dag_hash) as the single-solver run — racing may only
-   change wall time. *)
-let prop_portfolio_parity =
-  QCheck.Test.make
-    ~name:"portfolio=4 solves are byte-identical to portfolio=1 (glucose)"
-    ~count:10 arb_universe (fun seed ->
-      let u = Fuzz.Gen.generate (Fuzz.Rng.create seed) in
-      let repo = Fuzz.Gen.to_repo u in
-      let reuse = pool_of ~repo u in
-      let splicing = has_splices u in
-      let opts = options ~splicing ~reuse ~prune:true () in
-      List.for_all
-        (fun r ->
-          let single = concretize ~repo ~options:opts r in
-          let raced =
-            concretize ~repo ~options:{ opts with CC.portfolio = 4 } r
-          in
-          match (single, raced) with
-          | Ok a, Ok b ->
-            if costs a <> costs b then
-              QCheck.Test.fail_reportf
-                "request %s: portfolio costs %s, single costs %s" r
-                (pp_costs (costs b))
-                (pp_costs (costs a))
-            else if
-              Spec.Concrete.dag_hash (root_spec a)
-              <> Spec.Concrete.dag_hash (root_spec b)
-            then
-              QCheck.Test.fail_reportf "request %s: portfolio changed the DAG" r
-            else true
-          | Error a, Error b ->
-            a.CC.f_message = b.CC.f_message
-            || QCheck.Test.fail_reportf
-                 "request %s: failure messages differ: %S vs %S" r
-                 a.CC.f_message b.CC.f_message
-          | Ok _, Error f ->
-            QCheck.Test.fail_reportf
-              "request %s: single SAT but portfolio failed: %s" r
-              f.CC.f_message
-          | Error f, Ok _ ->
-            QCheck.Test.fail_reportf
-              "request %s: portfolio SAT but single failed: %s" r
-              f.CC.f_message)
-        (u.Fuzz.Gen.u_requests @ u.Fuzz.Gen.u_cache_roots))
-
-(* ---- 3. grounding: parallel determinism, translate purity ---- *)
+(* ---- 3. grounding: translate purity ---- *)
 
 (* A miniature concretizer-shaped program: derived node closure, a
    choice rule whose elements come from pool facts, negation over a
@@ -253,17 +204,6 @@ let render_ground g =
     (String.concat "," (List.map string_of_int possible))
     Asp.Ground.pp g (String.concat "\n" mins)
 
-let test_ground_jobs_determinism () =
-  let prog = mini_program () in
-  let reference = render_ground (Asp.Ground.ground ~jobs:1 prog) in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "ground --jobs %d byte-identical" jobs)
-        reference
-        (render_ground (Asp.Ground.ground ~jobs prog)))
-    [ 2; 3; 4 ]
-
 (* A session translates a ground program without changing it, so one
    grounding can back any number of sessions ({!CC.Warm.session}). *)
 let test_translate_keeps_ground () =
@@ -294,9 +234,10 @@ let roots_of ~repo (u : Fuzz.Gen.t) =
     u.Fuzz.Gen.u_requests
   |> List.sort_uniq String.compare
 
-(* A pool's identity for {!Core.Encode.pool_digest}: its DAG hashes in
-   any order, duplicates included. *)
-let dag_hashes specs = List.sort String.compare (List.map Spec.Concrete.dag_hash specs)
+(* A pool's identity for {!Core.Encode.pool_digest}: its set of DAG
+   hashes, in any order and with repeats ignored. *)
+let dag_hashes specs =
+  List.sort_uniq String.compare (List.map Spec.Concrete.dag_hash specs)
 
 (* Drive a {!CC.Warm} universe through buildcache swaps: random subsets
    of the universe's pool, then back to the first one. Each swap must
@@ -405,14 +346,11 @@ let test_batch_determinism () =
 let () =
   Alcotest.run "perf_equiv"
     [ ( "grounding",
-        [ Alcotest.test_case "parallel grounding determinism" `Quick
-            test_ground_jobs_determinism;
-          Alcotest.test_case "translate keeps the ground" `Quick
+        [ Alcotest.test_case "translate keeps the ground" `Quick
             test_translate_keeps_ground ] );
       ( "equivalence-glucose",
         [ QCheck_alcotest.to_alcotest prop_prune_parity;
           QCheck_alcotest.to_alcotest prop_session_parity;
-          QCheck_alcotest.to_alcotest prop_portfolio_parity;
           QCheck_alcotest.to_alcotest prop_warm_reground_parity;
           Alcotest.test_case "batch determinism (glucose)" `Quick
             test_batch_determinism ] ) ]

@@ -14,7 +14,7 @@
      searches under a 1-clause reduction interval run to completion
      with the reduce/GC invariant asserts live, and still certify;
    - rephasing, the one search heuristic beyond EMA restarts, rescues
-     a single solver from a phase trap within a conflict budget. *)
+     the solver from a phase trap within a conflict budget. *)
 
 module S = Asp.Sat
 
@@ -156,50 +156,12 @@ let prop_unsat_certifies =
           | Ok () -> true
           | Error e -> QCheck.Test.fail_reportf "proof rejected: %s" e))
 
-(* ---- 4. portfolio racing ---- *)
-
-let prop_portfolio_byte_identical =
-  QCheck.Test.make
-    ~name:"portfolio race is byte-identical to the single-solver run"
-    ~count:60 arb_instance (fun ((nvars, clauses, pbs) as inst) ->
-      let single = build_new inst in
-      let raced = build_new inst in
-      S.set_portfolio raced (Some (S.portfolio 4));
-      let r1 = S.solve single in
-      let r2 = S.solve raced in
-      if r1 <> r2 then
-        QCheck.Test.fail_reportf "single=%b raced=%b" r1 r2
-      else if r1 then begin
-        for v = 0 to nvars - 1 do
-          if S.value single v <> S.value raced v then
-            QCheck.Test.fail_reportf "model differs at var %d" v
-        done;
-        check_model clauses pbs (S.value raced)
-      end
-      else true)
-
-let prop_portfolio_unsat_certifies =
-  QCheck.Test.make
-    ~name:"portfolio UNSAT merges a certificate that still certifies"
-    ~count:60 arb_instance (fun inst ->
-      let s = build_new ~proof:true ~reduce:1 inst in
-      S.set_portfolio s (Some (S.portfolio 4));
-      if S.solve s then true
-      else
-        match S.proof s with
-        | None -> false
-        | Some steps -> (
-          match Fuzz.Drup.check steps with
-          | Ok () -> true
-          | Error e -> QCheck.Test.fail_reportf "merged proof rejected: %s" e))
-
-(* ---- 5. pigeonhole instances ---- *)
+(* ---- 4. pigeonhole instances ---- *)
 
 (* PHP(pigeons, holes). With [relax], a fresh relaxer literal r is
    disjoined into every clause: r=true satisfies everything, but the
    default negative polarity keeps r false, so a solver walks into the
-   pigeonhole refutation first (the phase trap of
-   [bench portfolio-smoke]). *)
+   pigeonhole refutation first (a phase trap). *)
 let add_php ?(relax = false) s ~pigeons ~holes =
   let v =
     Array.init pigeons (fun _ -> Array.init holes (fun _ -> S.new_var s))
@@ -261,7 +223,7 @@ let test_php_proof () =
   Alcotest.(check bool) "rephased at least once" true (stat s "rephases" >= 1);
   certify s
 
-(* ---- 6. rephasing rescues a phase-trapped single solver ---- *)
+(* ---- 5. rephasing rescues a phase-trapped solver ---- *)
 
 (* Without rephasing, relaxed-PHP(11,10) is a full pigeonhole
    refutation before the solver ever tries r=true; with it, the
@@ -278,7 +240,7 @@ let test_rephase_escapes_trap () =
     Alcotest.fail "relaxed-PHP(11,10) still trapped after 50k conflicts");
   Alcotest.(check bool) "rephased at least once" true (stat s "rephases" >= 1)
 
-(* ---- 7. budget preemption ---- *)
+(* ---- 6. budget preemption ---- *)
 
 (* PHP(7,6) needs thousands of conflicts, so a small conflict cap must
    preempt the search mid-flight. Preemption unwinds the trail to
@@ -326,7 +288,7 @@ let test_budget_preempt () =
   S.set_budget s2 None;
   Alcotest.(check bool) "reusable after stop preemption" false (S.solve s2)
 
-(* ---- 8. Drup checker under deletion-heavy proofs ---- *)
+(* ---- 7. Drup checker under deletion-heavy proofs ---- *)
 
 (* 12k real deletions (every one a live database hit) followed by a
    two-unit contradiction. The checker's hashed clause-key index makes
@@ -361,9 +323,6 @@ let () =
     [ ( "differential",
         [ QCheck_alcotest.to_alcotest prop_core_agrees;
           QCheck_alcotest.to_alcotest prop_incremental_agrees ] );
-      ( "portfolio",
-        [ QCheck_alcotest.to_alcotest prop_portfolio_byte_identical;
-          QCheck_alcotest.to_alcotest prop_portfolio_unsat_certifies ] );
       ( "proofs",
         [ QCheck_alcotest.to_alcotest prop_unsat_certifies;
           Alcotest.test_case "PHP(8,7) proof certifies" `Quick test_php_proof;

@@ -370,6 +370,18 @@ let test_reuse_eviction () =
   Alcotest.(check bool) "same digest is a no-op" false (Serve.set_reuse t pool);
   Alcotest.(check int) "generation unchanged" 1 (Serve.generation t)
 
+(* A repeated spec leaves the spec set, and so the buildcache, as it
+   was: no generation bump, nothing evicted. *)
+let test_reuse_repeat () =
+  let u, repo = universe 42 in
+  let s = List.hd (pool_of ~repo u) in
+  let config = { Serve.default_config with Serve.workers = 1 } in
+  with_server ~repo ~config @@ fun t ->
+  Alcotest.(check bool) "[s] after [] is a change" true (Serve.set_reuse t [ s ]);
+  Alcotest.(check bool) "[s; s] after [s] is a no-op" false
+    (Serve.set_reuse t [ s; s ]);
+  Alcotest.(check int) "generation unchanged" 1 (Serve.generation t)
+
 (* ---- 6. reload op ---- *)
 
 let test_reload () =
@@ -780,6 +792,8 @@ let () =
             test_worker_fault;
           Alcotest.test_case "buildcache change mid-stream" `Quick
             test_reuse_eviction;
+          Alcotest.test_case "repeated spec is not a buildcache change" `Quick
+            test_reuse_repeat;
           Alcotest.test_case "reload op" `Quick test_reload;
           Alcotest.test_case "overload admission" `Quick test_overload;
           Alcotest.test_case "queue-expired deadline" `Quick test_deadline;
